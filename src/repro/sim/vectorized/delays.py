@@ -55,12 +55,37 @@ def delay_rng(policy: RandomDelayPolicy):
 
 
 def _membership(nodes: Sequence[int], members) -> "np.ndarray":
-    mask = np.zeros(len(nodes), dtype=bool)
-    member_set = set(members)
-    for index, node in enumerate(nodes):
-        if node in member_set:
-            mask[index] = True
-    return mask
+    return np.isin(nodes, list(members))
+
+
+def sender_masks(
+    policy: DelayPolicy, senders: Sequence[int], send_real: "np.ndarray"
+) -> Any:
+    """The sender-side mask one round's :func:`delay_matrix` calls share.
+
+    Depends only on the senders and their send times, so the engine
+    computes it once per round and passes it to every receiver block
+    instead of redoing the O(senders) membership test per block.
+    ``None`` for policies that need no mask.
+    """
+    kind = type(policy)
+    if kind is BiasedPartitionDelayPolicy:
+        return _membership(senders, policy.group_a)
+    if kind is SkewingDelayPolicy:
+        return _membership(senders, policy.slow_senders)
+    if kind is EclipseDelayPolicy:
+        return _membership(senders, policy.victims)
+    if kind is FlickeringPartitionDelayPolicy:
+        # Odd phases swap which side counts as "same group", so fold
+        # the phase into the sender's side: a link is fast exactly
+        # when the folded side equals the receiver's.
+        odd = (
+            np.floor_divide(send_real, policy.period).astype(np.int64) % 2
+        ) == 1
+        return _membership(senders, policy.group_a) != odd
+    if kind is PerLinkDelayPolicy:
+        return sender_masks(policy.fallback, senders, send_real)
+    return None
 
 
 def delay_matrix(
@@ -70,6 +95,7 @@ def delay_matrix(
     receivers: Sequence[int],
     send_real: "np.ndarray",
     rng: Any = None,
+    senders_mask: Any = None,
 ) -> "np.ndarray":
     """Delays of one round's dealer broadcasts, shape
     ``(len(receivers), len(senders))``.
@@ -78,46 +104,49 @@ def delay_matrix(
     broadcast; entry ``[i, j]`` is the delay of the message
     ``senders[j] → receivers[i]``.  ``rng`` carries the persistent
     numpy generator for :class:`RandomDelayPolicy` (one per run, so
-    successive rounds draw fresh values).  Self-links (where a
-    receiver equals a sender) are computed like any other entry and
-    must be masked by the caller.
+    successive rounds draw fresh values).  ``senders_mask`` is the
+    round's :func:`sender_masks` result, computed here when omitted.
+    Self-links (where a receiver equals a sender) are computed like
+    any other entry and must be masked by the caller.  The result is
+    a fresh array the caller may overwrite.
     """
     shape = (len(receivers), len(senders))
     low, high = config.delay_bounds(True)
     kind = type(policy)
+    if senders_mask is None:
+        senders_mask = sender_masks(policy, senders, send_real)
+    # ``entries`` holds every value the matrix contains; the fill and
+    # select paths name their few values so the bounds check below
+    # need not scan the whole matrix.
     if kind is MinimumDelayPolicy:
+        entries = np.array([low])
         matrix = np.full(shape, low)
     elif kind is ConstantFractionDelayPolicy:
-        matrix = np.full(shape, high - policy.fraction * (high - low))
+        entries = np.array([high - policy.fraction * (high - low)])
+        matrix = np.full(shape, entries[0])
     elif kind is RandomDelayPolicy:
-        matrix = rng.uniform(low, high, size=shape)
-    elif kind is BiasedPartitionDelayPolicy:
-        src_a = _membership(senders, policy.group_a)[None, :]
-        dst_a = _membership(receivers, policy.group_a)[:, None]
-        matrix = np.where(src_a == dst_a, low, high)
+        matrix = entries = rng.uniform(low, high, size=shape)
+    elif kind in (
+        BiasedPartitionDelayPolicy, FlickeringPartitionDelayPolicy
+    ):
+        same = senders_mask[None, :] == _membership(
+            receivers, policy.group_a
+        )[:, None]
+        entries = np.array([low, high])
+        matrix = np.where(same, low, high)
     elif kind is SkewingDelayPolicy:
         # Sender-only mask: broadcast explicitly, or the matrix comes
         # out (1, senders) instead of (receivers, senders).
-        slow = _membership(senders, policy.slow_senders)[None, :]
-        matrix = np.broadcast_to(
-            np.where(slow, high, low), shape
-        ).copy()
+        entries = np.where(senders_mask, high, low)
+        matrix = np.broadcast_to(entries, shape).copy()
     elif kind is EclipseDelayPolicy:
-        src_v = _membership(senders, policy.victims)[None, :]
         dst_v = _membership(receivers, policy.victims)[:, None]
-        matrix = np.where(src_v | dst_v, high, low)
-    elif kind is FlickeringPartitionDelayPolicy:
-        src_a = _membership(senders, policy.group_a)[None, :]
-        dst_a = _membership(receivers, policy.group_a)[:, None]
-        same = src_a == dst_a
-        phase = (
-            np.floor_divide(send_real, policy.period).astype(np.int64) % 2
-        )[None, :]
-        fast = np.where(phase == 0, same, ~same)
-        matrix = np.where(fast, low, high)
+        entries = np.array([low, high])
+        matrix = np.where(senders_mask[None, :] | dst_v, high, low)
     elif kind is PerLinkDelayPolicy:
-        matrix = delay_matrix(
-            policy.fallback, config, senders, receivers, send_real, rng
+        matrix = entries = delay_matrix(
+            policy.fallback, config, senders, receivers, send_real, rng,
+            senders_mask,
         )
         for (src, dst), value in policy.overrides.items():
             rows = [i for i, node in enumerate(receivers) if node == dst]
@@ -126,18 +155,19 @@ def delay_matrix(
                 for j in cols:
                     matrix[i, j] = value
     elif kind in (MaximumDelayPolicy, DelayPolicy):
+        entries = np.array([config.d])
         matrix = np.full(shape, config.d)
     else:
         # Generic subclass: fall back to the scalar protocol so any
         # custom policy stays correct (O(senders x receivers) calls).
-        matrix = np.empty(shape)
+        matrix = entries = np.empty(shape)
         for i, dst in enumerate(receivers):
             for j, src in enumerate(senders):
                 matrix[i, j] = policy.delay(
                     config, src, dst, float(send_real[j]), None, True
                 )
     if matrix.size and (
-        matrix.min() < low - EPS or matrix.max() > high + EPS
+        entries.min() < low - EPS or entries.max() > high + EPS
     ):
         raise ModelViolation(
             f"{policy.describe()} produced a delay outside "

@@ -7,11 +7,11 @@ full CPS round with array operations:
 2. broadcast — each honest dealer's ``<r>_v`` leaves at local
    ``H_v(p^r_v) + theta S``; a per-round delay matrix
    (:mod:`repro.sim.vectorized.delays`) gives every arrival time;
-3. accept — the TCB window test ``P < h <= P + window`` as a boolean
-   mask over (receiver, dealer) pairs;
+3. accept — the TCB window test ``P < h <= P + window`` over
+   (receiver, dealer) pairs;
 4. vote — offset estimates ``h - P - d + u - S`` where accepted (⊥
-   elsewhere, 0 for self), sorted per receiver, the ``f - b`` discard
-   applied by index arithmetic, midpoint taken;
+   elsewhere, 0 for self), the ``f - b`` discard applied by rank,
+   midpoint of the two remaining extremes taken;
 5. advance — next pulse at local ``P + Delta + T``.
 
 This is exact — not approximate — for the scenarios the backend
@@ -25,14 +25,48 @@ where that argument breaks — actively Byzantine behaviours, membership
 churn — raise :class:`UnsupportedScenarioError` instead of silently
 degrading.
 
-Memory is bounded by processing receivers in blocks of ``block_size``
-rows (block × n arrays, never n × n), which is what lets n = 10,000
-runs fit comfortably in memory.
+The kernel
+----------
+* **Clock table.**  All honest clocks live in one padded
+  (nodes × segments) table (:class:`_VectorClock`).  Pulse, send and
+  completion times are one batched ``H^{-1}`` call each per round;
+  arrival local times are one batched ``H`` call per block.  Both pick
+  the segment ``bisect_right`` would and apply
+  :class:`~repro.sim.clocks.HardwareClock`'s IEEE operations in its
+  order, so they are bit-identical to the scalar clock.
+* **Byte-budgeted blocks.**  Receivers are processed in blocks of
+  ``BLOCK_BYTES // (8 * honest)`` rows (about 2 MiB per array, 52 rows
+  at n = 10,000, one block at n <= 1,000).  The delay matrix is turned
+  into arrival times in place and the local times go to one reused
+  buffer, so a block touches a few cache-sized arrays instead of
+  page-faulting fresh n-wide temporaries.
+* **Fused accept and vote** (:class:`_BlockKernel`).  Every step
+  returns exactly what the mask / ``where`` / full-sort formulation
+  returns:
+
+  - Plain row minima and maxima of ``h`` (self-links set to ``∓inf``)
+    decide the window test for rows whose every message is inside it;
+    only other blocks build the boolean mask.
+  - ``latest`` is the (masked) row maximum of ``h`` plus the finalize
+    wait: fp addition is monotone, so ``max(h) + w == max(h + w)``.
+  - Without a discard the vote's extremes are the self-estimate 0 and
+    the extreme accepted estimates, and ``(h - P) - shift`` is monotone
+    in ``h``, so they come from the row extremes of ``h``.
+  - With a discard the estimates are formed in place as
+    ``(h - P) - shift``, ⊥ is written as ``+inf`` with ``np.putmask``
+    (it sorts after every finite estimate, so ranks below the non-⊥
+    count are unchanged), and ``ndarray.partition`` on the block's few
+    distinct ranks places the same values at those ranks as a full
+    sort.
+
+Checks and FULL traces use the same kernel; they force the mask path
+and read an unpartitioned copy of the estimates, which only matters at
+the small n those observers run at.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 try:  # gated dependency: the event engine must work without numpy
     import numpy as np
@@ -42,7 +76,11 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 from repro.core.cps import CpsRoundSummary
 from repro.core.params import ProtocolParameters
 from repro.sim.clocks import EPS, HardwareClock, validate_initial_skew
-from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.errors import (
+    ClockError,
+    ConfigurationError,
+    SimulationError,
+)
 from repro.sim.network import (
     DelayPolicy,
     MaximumDelayPolicy,
@@ -51,7 +89,11 @@ from repro.sim.network import (
 )
 from repro.sim.scheduler import SimulationResult
 from repro.sim.trace import Trace, TraceLevel, TraceSpec
-from repro.sim.vectorized.delays import delay_matrix, delay_rng
+from repro.sim.vectorized.delays import (
+    delay_matrix,
+    delay_rng,
+    sender_masks,
+)
 from repro.sync.crusader import BOT
 
 
@@ -78,26 +120,241 @@ def require_numpy() -> None:
         )
 
 
+#: Byte budget of one ``(receivers, dealers)`` float64 block array.
+#: The kernel reuses a few such buffers across blocks, so they stay
+#: cache-sized instead of being page-faulted anew for every block.
+BLOCK_BYTES = 2 << 20
+
+
+def block_rows(nh: int) -> int:
+    """Receiver rows per block for ``nh`` honest dealers."""
+    return max(1, BLOCK_BYTES // (8 * nh))
+
+
 class _VectorClock:
-    """A hardware clock's segments as arrays, for batched evaluation."""
+    """Every honest node's hardware clock as one padded segment table.
 
-    __slots__ = ("starts", "locals", "rates", "constant")
+    Row ``i`` holds clock ``i``'s segments, followed by ``+inf``
+    breakpoints (at least one) that no finite time reaches.  The
+    segment of a time ``t`` is then the count of breakpoints ``<= t``
+    minus one, clipped at 0 — the same index ``bisect_right`` and
+    ``searchsorted(side="right")`` give — and evaluation performs
+    :class:`HardwareClock`'s IEEE operations in its order, so the
+    batched results are bit-identical to the scalar ones.
+    """
 
-    def __init__(self, clock: HardwareClock) -> None:
-        segments = clock.segments()
-        self.starts = np.array([s.t_start for s in segments])
-        self.locals = np.array([s.local_start for s in segments])
-        self.rates = np.array([s.rate for s in segments])
-        self.constant = len(segments) == 1
+    __slots__ = ("starts", "locals", "rates", "sizes", "constant", "origin")
 
-    def local_times(self, t: "np.ndarray") -> "np.ndarray":
-        """Vectorized ``H(t)`` over an array of real times."""
+    def __init__(self, clocks: Sequence[HardwareClock]) -> None:
+        segments = [clock.segments() for clock in clocks]
+        self.sizes = counts = np.array([len(row) for row in segments])
+        width = int(counts.max())
+        shape = (len(segments), width + 1)
+        self.starts = np.full(shape, np.inf)
+        self.locals = np.full(shape, np.inf)
+        self.rates = np.ones(shape)
+        flat = [segment for row in segments for segment in row]
+        rows = np.repeat(np.arange(len(segments)), counts)
+        cols = np.arange(len(flat)) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        self.starts[rows, cols] = [s.t_start for s in flat]
+        self.locals[rows, cols] = [s.local_start for s in flat]
+        self.rates[rows, cols] = [s.rate for s in flat]
+        self.constant = width == 1
+        self.origin = bool(np.all(self.starts[:, 0] == 0.0))
+
+    def real_times(self, local: "np.ndarray") -> "np.ndarray":
+        """Batched ``H^{-1}``: clock ``i``'s real time at ``local[i]``.
+
+        Raises the :class:`ClockError` ``HardwareClock.real_time``
+        would raise for the first clock read before its start.
+        """
+        first = self.locals[:, 0]
+        early = local < first - EPS
+        if early.any():
+            i = int(np.argmax(early))
+            raise ClockError(
+                f"local time {float(local[i])} precedes clock start "
+                f"{float(first[i])}"
+            )
+        index = np.count_nonzero(self.locals <= local[:, None], axis=1)
+        index = np.maximum(index - 1, 0)[:, None]
+
+        def pick(table: "np.ndarray") -> "np.ndarray":
+            return np.take_along_axis(table, index, axis=1)[:, 0]
+
+        return pick(self.starts) + (local - pick(self.locals)) / pick(
+            self.rates
+        )
+
+    def local_times(
+        self, rows: slice, t: "np.ndarray", out: "np.ndarray"
+    ) -> "np.ndarray":
+        """Batched ``H`` over a block: ``out[i, j] = H_k(t[i, j])`` for
+        the ``k = rows.start + i``-th clock; returns ``out``."""
+        row = np.arange(len(t))
         if self.constant:
-            return self.locals[0] + self.rates[0] * (t - self.starts[0])
-        index = np.searchsorted(self.starts, t, side="right") - 1
-        np.clip(index, 0, None, out=index)
-        return self.locals[index] + self.rates[index] * (
-            t - self.starts[index]
+            return self._affine(rows, row, 0, t, out)
+        # A row's segment at its earliest time holds for the whole row
+        # but past the few breakpoints inside the row's time range;
+        # each of those re-evaluates the entries at or after it on the
+        # next segment.
+        starts = self.starts[rows]
+        base = np.count_nonzero(starts <= t.min(axis=1)[:, None], axis=1)
+        top = np.count_nonzero(starts <= t.max(axis=1)[:, None], axis=1)
+        self._affine(rows, row, np.maximum(base - 1, 0), t, out)
+        steps = int((top - base).max())
+        if steps:
+            later = np.empty_like(out)
+            pad = starts.shape[1] - 1
+            last = self.sizes[rows] - 1
+            for step in range(steps):
+                edge = starts[row, np.minimum(base + step, pad)]
+                self._affine(
+                    rows, row, np.minimum(base + step, last), t, later
+                )
+                np.copyto(out, later, where=t >= edge[:, None])
+        return out
+
+    def _affine(
+        self,
+        rows: slice,
+        row: "np.ndarray",
+        segment: Any,
+        t: "np.ndarray",
+        out: "np.ndarray",
+    ) -> "np.ndarray":
+        """``out[i] = local + rate * (t[i] - start)`` on segment
+        ``segment[i]`` of the block's clock ``i``."""
+
+        def pick(table: "np.ndarray") -> "np.ndarray":
+            return table[rows][row, segment][:, None]
+
+        if self.origin and not np.any(segment):
+            # t - 0.0 == t: skip the pass (times here are positive).
+            np.multiply(t, pick(self.rates), out=out)
+        else:
+            np.subtract(t, pick(self.starts), out=out)
+            out *= pick(self.rates)
+        out += pick(self.locals)
+        return out
+
+
+class _Vote(NamedTuple):
+    """One block's acceptances and vote, row ``i`` for receiver
+    ``start + i``."""
+
+    counts: "np.ndarray"  # non-⊥ estimates, the self-estimate included
+    discard: "np.ndarray"  # the f - b discard
+    low: "np.ndarray"
+    high: "np.ndarray"
+    latest: "np.ndarray"  # latest accepted arrival (local), or -inf
+    accept: Any  # (rows, dealers) mask, or None: all but the self-link
+    estimates: Any  # unpartitioned estimates when observing, else None
+
+
+class _BlockKernel:
+    """The fused acceptance-and-vote step over one receiver block.
+
+    Works in reused ``(rows, dealers)`` buffers and overwrites the
+    local-time block it is given.  Every result equals what the
+    straightforward mask / ``where`` / full-sort formulation computes,
+    bit for bit (see the module docstring for the argument).
+    """
+
+    __slots__ = (
+        "n", "f", "honest", "window", "shift", "local_buf", "accept_buf",
+        "mask_buf",
+    )
+
+    def __init__(
+        self, params: ProtocolParameters, honest: Sequence[int], rows: int
+    ) -> None:
+        nh = len(honest)
+        self.n = params.n
+        self.f = params.f
+        self.honest = honest
+        self.window = params.tcb_window
+        self.shift = params.d - params.u + params.S
+        self.local_buf = np.empty((rows, nh))
+        self.accept_buf = np.empty((rows, nh), dtype=bool)
+        self.mask_buf = np.empty((rows, nh), dtype=bool)
+
+    def vote(
+        self,
+        h: "np.ndarray",
+        start: int,
+        pulse_local: "np.ndarray",
+        observing: bool,
+    ) -> _Vote:
+        """Accept and vote on local arrival times ``h`` of the block
+        whose first receiver is honest row ``start`` and whose pulse
+        local times are ``pulse_local``."""
+        size = len(h)
+        diagonal = (np.arange(size), np.arange(start, start + size))
+        base = pulse_local[:, None]
+        upper = base + self.window + EPS
+        # Row extremes over the dealers' messages, self-links excluded.
+        h[diagonal] = -np.inf
+        latest = h.max(axis=1)
+        h[diagonal] = np.inf
+        earliest = h.min(axis=1)
+        accept = None
+        if observing or not (
+            np.all(earliest > pulse_local) and np.all(latest <= upper[:, 0])
+        ):
+            # Some message falls outside its window: the TCB test as a
+            # mask, and the extremes over the accepted messages only.
+            accept = np.greater(h, base, out=self.accept_buf[:size])
+            accept &= np.less_equal(h, upper, out=self.mask_buf[:size])
+            accept[diagonal] = False
+            counts = 1 + np.count_nonzero(accept, axis=1)
+            latest = np.maximum.reduce(
+                h, axis=1, where=accept, initial=-np.inf
+            )
+            earliest = np.minimum.reduce(
+                h, axis=1, where=accept, initial=np.inf
+            )
+        else:
+            counts = np.full(size, len(self.honest))
+        discard = np.maximum(self.f - (self.n - counts), 0)
+        if np.any(counts <= 2 * discard):
+            bad = int(np.argmax(counts <= 2 * discard))
+            raise SimulationError(
+                f"need more than {2 * int(discard[bad])} non-bot "
+                f"estimates at node {self.honest[start + bad]}, got "
+                f"{int(counts[bad])}"
+            )
+        estimates = None
+        if observing or discard.any():
+            # h becomes the estimates in place; ⊥ is +inf, which sorts
+            # after every finite estimate.
+            h -= base
+            h -= self.shift
+            if accept is not None:
+                np.putmask(
+                    h,
+                    np.logical_not(accept, out=self.mask_buf[:size]),
+                    np.inf,
+                )
+            h[diagonal] = 0.0
+            if observing:
+                estimates = h.copy()
+            high_rank = counts - 1 - discard
+            h.partition(
+                np.unique(np.concatenate((discard, high_rank))), axis=1
+            )
+            low = h[diagonal[0], discard]
+            high = h[diagonal[0], high_rank]
+        else:
+            # No discard: the vote's extremes are the extreme accepted
+            # estimates or the self-estimate 0, and rounding is
+            # monotone, so they follow from the extreme local times.
+            low = np.minimum(earliest - pulse_local - self.shift, 0.0)
+            high = np.maximum(latest - pulse_local - self.shift, 0.0)
+        return _Vote(
+            counts, discard, low, high, latest, accept, estimates
         )
 
 
@@ -128,15 +385,12 @@ class VectorizedSimulation:
         seed: int = 0,
         trace: TraceSpec = "pulses",
         checks: Any = None,
-        block_size: int = 1024,
     ) -> None:
         require_numpy()
         if len(clocks) != params.n:
             raise ConfigurationError(
                 f"need {params.n} clocks, got {len(clocks)}"
             )
-        if block_size < 1:
-            raise ConfigurationError("block_size must be >= 1")
         # u_tilde only weakens links with a faulty endpoint; silent
         # faulty nodes never use their links, so it cannot affect any
         # vectorized execution — it is accepted (and validated) for
@@ -157,7 +411,6 @@ class VectorizedSimulation:
         #: Surface parity with the scheduler: the vectorized backend
         #: never carries membership dynamics (the facade rejects churn).
         self.dynamics = None
-        self.block_size = block_size
         self.warnings: List[str] = []
         validate_initial_skew(
             [self.clocks[v] for v in self.honest], params.S
@@ -195,7 +448,7 @@ class VectorizedSimulation:
         observing = self.checks is not None or (
             self.trace.level >= TraceLevel.FULL
         )
-        vclocks = [_VectorClock(self.clocks[v]) for v in honest]
+        table = _VectorClock([self.clocks[v] for v in honest])
         rng = (
             delay_rng(self.delay_policy)
             if isinstance(self.delay_policy, RandomDelayPolicy)
@@ -203,39 +456,26 @@ class VectorizedSimulation:
         )
         window = params.tcb_window
         fin_wait = params.tcb_finalize_wait
-        offset_shift = params.d - params.u + params.S
         pulses: Dict[int, List[float]] = {v: [] for v in range(n)}
         events = 0
         end_time = 0.0
+        rows_per_block = min(block_rows(nh), nh)
+        kernel = _BlockKernel(params, honest, rows_per_block)
         # Next-pulse local targets; Figure 3 starts at local time S.
         local = np.full(nh, params.S)
         pulse_round = 0
         while max_pulses is None or pulse_round < max_pulses:
             pulse_round += 1
-            pulse_real = np.array(
-                [
-                    self.clocks[v].real_time(local[i])
-                    for i, v in enumerate(honest)
-                ]
-            )
+            pulse_real = table.real_times(local)
             if until is not None:
                 inside = pulse_real <= until + EPS
                 if not inside.all():
-                    for i in np.argsort(pulse_real, kind="stable"):
-                        if inside[i]:
-                            self._emit_pulse(
-                                pulses, float(pulse_real[i]), honest[i],
-                                pulse_round, float(local[i]),
-                            )
-                            events += 1
+                    events += self._emit_pulses(
+                        pulses, pulse_real, local, pulse_round, inside
+                    )
                     end_time = until
                     break
-            order = np.argsort(pulse_real, kind="stable")
-            for i in order:
-                self._emit_pulse(
-                    pulses, float(pulse_real[i]), honest[i],
-                    pulse_round, float(local[i]),
-                )
+            self._emit_pulses(pulses, pulse_real, local, pulse_round)
             if max_pulses is not None and pulse_round >= max_pulses:
                 # The event engine halts the instant the slowest node
                 # emits its quota-filling pulse, so the final round's
@@ -245,78 +485,46 @@ class VectorizedSimulation:
                 events += nh
                 end_time = max(end_time, float(pulse_real.max()))
                 break
-            send_real = np.array(
-                [
-                    self.clocks[v].real_time(
-                        local[i] + params.dealer_send_offset
-                    )
-                    for i, v in enumerate(honest)
-                ]
-            )
+            send_real = table.real_times(local + params.dealer_send_offset)
+            senders_mask = sender_masks(self.delay_policy, honest, send_real)
             correction = np.empty(nh)
             completion_local = np.empty(nh)
             accepted_total = 0
             accepts: List[Any] = []
             summaries: List[Any] = []
-            for start in range(0, nh, self.block_size):
-                stop = min(start + self.block_size, nh)
-                rows = np.arange(start, stop)
+            for start in range(0, nh, rows_per_block):
+                stop = min(start + rows_per_block, nh)
+                block = slice(start, stop)
                 receivers = honest[start:stop]
-                delays = delay_matrix(
+                arrival = delay_matrix(
                     self.delay_policy, self.config, honest, receivers,
-                    send_real, rng,
+                    send_real, rng, senders_mask,
                 )
-                arrival = send_real[None, :] + delays
-                local_rx = np.empty_like(arrival)
-                for i, row in enumerate(rows):
-                    local_rx[i] = vclocks[row].local_times(arrival[i])
-                base = local[rows][:, None]
-                accept = (local_rx > base) & (
-                    local_rx <= base + window + EPS
+                arrival += send_real
+                vote = kernel.vote(
+                    table.local_times(
+                        block, arrival, kernel.local_buf[: stop - start]
+                    ),
+                    start,
+                    local[block],
+                    observing,
                 )
-                accept[np.arange(len(rows)), rows] = False
-                estimates = np.where(
-                    accept, local_rx - base - offset_shift, np.nan
-                )
-                estimates[np.arange(len(rows)), rows] = 0.0
-                counts = 1 + accept.sum(axis=1)
-                num_bot = n - counts
-                discard = np.maximum(params.f - num_bot, 0)
-                if np.any(counts <= 2 * discard):
-                    bad = int(np.argmax(counts <= 2 * discard))
-                    raise SimulationError(
-                        f"need more than {2 * int(discard[bad])} non-bot "
-                        f"estimates at node {receivers[bad]}, got "
-                        f"{int(counts[bad])}"
-                    )
-                ordered = np.sort(estimates, axis=1)
-                row_index = np.arange(len(rows))
-                low = ordered[row_index, discard]
-                high = ordered[row_index, counts - 1 - discard]
-                correction[rows] = (low + high) / 2.0
-                finalize = np.where(
-                    accept, local_rx + fin_wait, -np.inf
-                )
-                latest = finalize.max(axis=1)
-                window_close = local[rows] + window + 2.0 * EPS
-                completion_local[rows] = np.where(
-                    num_bot > 0,
+                correction[block] = (vote.low + vote.high) / 2.0
+                latest = vote.latest + fin_wait
+                window_close = local[block] + window + 2.0 * EPS
+                completion_local[block] = np.where(
+                    n - vote.counts > 0,
                     np.maximum(latest, window_close),
                     latest,
                 )
-                accepted_total += int(accept.sum())
+                accepted_total += int(vote.counts.sum()) - (stop - start)
                 if observing:
                     self._collect_round(
-                        accepts, summaries, rows, receivers, accept,
-                        arrival, estimates, counts, low, high,
-                        correction, pulse_round, local,
+                        accepts, summaries, start, receivers, vote.accept,
+                        arrival, vote.estimates, vote.counts, vote.low,
+                        vote.high, correction, pulse_round, local,
                     )
-            completion_real = np.array(
-                [
-                    self.clocks[v].real_time(completion_local[i])
-                    for i, v in enumerate(honest)
-                ]
-            )
+            completion_real = table.real_times(completion_local)
             end_time = max(end_time, float(completion_real.max()))
             if observing:
                 self._emit_round(
@@ -343,26 +551,48 @@ class VectorizedSimulation:
 
     # ------------------------------------------------------------------
 
-    def _emit_pulse(
+    def _emit_pulses(
         self,
         pulses: Dict[int, List[float]],
-        time: float,
-        node: int,
+        pulse_real: "np.ndarray",
+        local: "np.ndarray",
         index: int,
-        local_time: float,
-    ) -> None:
-        pulses[node].append(time)
-        self.trace.pulse(
-            time=time, node=node, index=index, local_time=local_time
+        inside: Optional["np.ndarray"] = None,
+    ) -> int:
+        """Record round ``index``'s pulses (those ``inside`` the
+        horizon, if given) in time order; returns how many."""
+        observed = (
+            self.checks is not None
+            or self.trace.level >= TraceLevel.PULSES
         )
-        if self.checks is not None:
-            self.checks.on_pulse(time, node, index, local_time)
+        # Nothing but an observer sees the order across nodes.
+        order = (
+            np.argsort(pulse_real, kind="stable") if observed
+            else np.arange(len(pulse_real))
+        )
+        if inside is not None:
+            order = order[inside[order]]
+        times = pulse_real.tolist()
+        locals_ = local.tolist()
+        for i in order.tolist():
+            node = self.honest[i]
+            pulses[node].append(times[i])
+            if observed:
+                self.trace.pulse(
+                    time=times[i], node=node, index=index,
+                    local_time=locals_[i],
+                )
+                if self.checks is not None:
+                    self.checks.on_pulse(
+                        times[i], node, index, locals_[i]
+                    )
+        return len(order)
 
     def _collect_round(
         self,
         accepts: List[Any],
         summaries: List[Any],
-        rows: "np.ndarray",
+        start: int,
         receivers: Sequence[int],
         accept: "np.ndarray",
         arrival: "np.ndarray",
@@ -382,6 +612,7 @@ class VectorizedSimulation:
         """
         honest = self.honest
         for i, node in enumerate(receivers):
+            row = start + i
             row_estimates: Dict[int, Any] = {}
             for j, dealer in enumerate(honest):
                 if dealer == node:
@@ -401,14 +632,14 @@ class VectorizedSimulation:
                 row_estimates[dealer] = BOT
             summaries.append(
                 (
-                    int(rows[i]),
+                    row,
                     CpsRoundSummary(
                         pulse_round=pulse_round,
-                        pulse_local=float(local[rows[i]]),
+                        pulse_local=float(local[row]),
                         estimates=row_estimates,
                         num_bot=int(self.params.n - counts[i]),
                         interval=(float(low[i]), float(high[i])),
-                        correction=float(correction[rows[i]]),
+                        correction=float(correction[row]),
                     ),
                 )
             )

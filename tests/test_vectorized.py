@@ -15,7 +15,9 @@ scenario envelope, the delay-matrix fast paths against the scalar
 policies they mirror, and the CLI/perf ``--backend`` plumbing.
 """
 
+import hashlib
 import json
+import random
 import warnings
 
 import numpy as np
@@ -35,17 +37,24 @@ from repro.checks.conformance import (
     run_cps_conformance,
 )
 from repro.cli import main
-from repro.core.cps import assemble_cps_simulation, build_cps_simulation
+from repro.core.cps import (
+    CpsRoundSummary,
+    assemble_cps_simulation,
+    build_cps_simulation,
+)
 from repro.core.params import derive_parameters
 from repro.perf.cases import run_case
-from repro.scenarios import REGISTRY
-from repro.sim.errors import ConfigurationError
+from repro.scenarios import REGISTRY, create
+from repro.sim.clocks import HardwareClock
+from repro.sim.errors import ClockError, ConfigurationError
 from repro.sim.network import NetworkConfig
 from repro.sim.vectorized import (
     UnsupportedScenarioError,
     VectorizedSimulation,
+    engine,
 )
 from repro.sim.vectorized.delays import delay_matrix
+from repro.sync.crusader import BOT
 
 BASE_CASE = {"n": 6, "theta": 1.001, "d": 1.0, "u": 0.02}
 
@@ -226,7 +235,8 @@ class TestDelayMatrix:
     def test_fast_paths_match_scalar_policies(self):
         config = NetworkConfig(n=self.N, d=1.0, u=0.02)
         senders = list(range(self.N))
-        send_real = np.full(self.N, 2.0)
+        # Send times span both phases of flicker-partition's period.
+        send_real = np.linspace(0.0, 25.0, self.N)
         for key, policy in self._policies():
             if key == "random":
                 continue
@@ -236,7 +246,7 @@ class TestDelayMatrix:
             for i in senders:
                 for j in senders:
                     expected = policy.delay(
-                        config, j, i, 2.0, None, True
+                        config, j, i, float(send_real[j]), None, True
                     )
                     assert matrix[i, j] == pytest.approx(
                         expected, abs=1e-12
@@ -371,3 +381,249 @@ class TestE9ScaleCampaign:
         from repro.analysis.experiments import EXPERIMENTS
 
         assert "E9-SCALE" in EXPERIMENTS
+
+
+#: Bit-identity pins: SHA-256 of the honest pulse streams, end_time and
+#: events_processed (plus the observer stream for "checks"), recorded
+#: with the per-row searchsorted / full-sort kernel the fused block
+#: kernel replaced.  Any change to an IEEE operation or its order moves
+#: a hash.
+PINNED = {
+    "random/maximum": "1257c178916b9cd6f3afd28ab0ba0120"
+    "a24d214844442976586fe572f030f189",
+    "random/random": "dee9d18e370356b36d49f1654571f4f6"
+    "0abd0e40588233da2780c50a5f710304",
+    "random/flicker-partition": "fe97925f926a11a698df26c2919cd980"
+    "ecfabd55faf31d5a8a30002cac80e16e",
+    "extreme/maximum": "e92bcfca47e8047197d09de038e0fb66"
+    "7cbcafcabd9bfbe826d38eeef588183d",
+    "extreme/random": "b8d531302390b8277d6802684e87a60e"
+    "e178b07154be26c3af622d41a7a5764a",
+    "extreme/flicker-partition": "5291a9af96dc17ff1fe8af84f897bf5f"
+    "554e215010606ef01995616c7a759ab4",
+    "mixed/maximum": "cdce08e5273a5a2eacb1aedaa2534ce5"
+    "57e138c531f32aaa4a65d0e05f0e40e7",
+    "mixed/random": "3e98a7db40a463c1652f0e49e1854115"
+    "9da1bd8168609fcb765d9618051e5e62",
+    "mixed/flicker-partition": "03f4371ec9b7a4c021b1582a29587a8e"
+    "19dd691acdd85242e7f075efac14925f",
+    "staggered/maximum": "268f2ca33d48a43da78e4be16c67a9f0"
+    "2ba4009a9f53aa709c9bee6c52e4972a",
+    "staggered/random": "8cb9554924495625646daf3624a7abc2"
+    "62d34f560683eb27eaafad3aa3402351",
+    "staggered/flicker-partition": "a242574e20ff4a27f14dfce49685b762"
+    "f3f04292f848c6e5f7c7d550a8080062",
+    "discard": "01ba99ca0accfb905dd70a283a61ba3c"
+    "d2ab5e137c0c1cfb956d019a16699cc4",
+    "segments": "2f94bb8e7bbd8dcb13e883218204c519"
+    "cd5cda5081fc8b13599a10d8b1a1a54d",
+    "until": "0cf7307a76822b18a87e788d94cd13a4"
+    "45b05cf77d0ffd7a80c86879fd45c349",
+    "checks": "80638768692e7853a33553f6bb3e642d"
+    "8d2d7fa3ca347e39f53db5eecc19535e",
+}
+
+PIN_CASE = {
+    "n": 301, "theta": 1.001, "d": 1.0, "u": 0.02, "adversary": "silent"
+}
+
+
+class _Recorder:
+    """A ``checks=`` observer that keeps the stream it is fed."""
+
+    def __init__(self):
+        self.stream = []
+
+    def on_pulse(self, time, node, index, local_time):
+        self.stream.append(["pulse", time, node, index, local_time])
+
+    def on_annotate(self, time, node, kind, details):
+        if isinstance(details, CpsRoundSummary):
+            details = [
+                details.pulse_round, details.pulse_local,
+                sorted(
+                    (k, None if v is BOT else v)
+                    for k, v in details.estimates.items()
+                ),
+                details.num_bot, list(details.interval),
+                details.correction,
+            ]
+        self.stream.append([kind, time, node, details])
+
+
+def _fingerprint(result, recorder=None):
+    payload = {
+        "pulses": {str(v): t for v, t in result.honest_pulses().items()},
+        "end_time": result.end_time,
+        "events": result.events_processed,
+    }
+    if recorder is not None:
+        payload["annotations"] = recorder.stream
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _pinned_build(**keys):
+    return build_simulation(
+        dict(PIN_CASE, **keys), backend="vectorized", seed=5
+    )
+
+
+class TestBitIdentity:
+    @pytest.fixture(params=["one-row", "budget"], autouse=True)
+    def blocks(self, request, monkeypatch):
+        # One-row blocks exercise every block boundary; the default
+        # byte budget runs n = 301 as a single block.
+        if request.param == "one-row":
+            monkeypatch.setattr(engine, "BLOCK_BYTES", 1)
+            assert engine.block_rows(151) == 1
+        else:
+            assert engine.block_rows(151) >= 151
+
+    @pytest.mark.parametrize(
+        "delay", ["maximum", "random", "flicker-partition"]
+    )
+    @pytest.mark.parametrize(
+        "drift", ["random", "extreme", "mixed", "staggered"]
+    )
+    def test_registry_grid(self, drift, delay):
+        built = _pinned_build(drift=drift, delay=delay)
+        result = built.simulation.run(max_pulses=4)
+        assert _fingerprint(result) == PINNED[f"{drift}/{delay}"]
+
+    def test_fewer_faulty_than_f_discards(self):
+        params = _pinned_build(drift="mixed", delay="skewing").params
+        simulation = VectorizedSimulation(
+            params,
+            create("drift", "mixed", params, 5),
+            faulty=range(params.n - 100, params.n),
+            delay_policy=create("delay", "skewing", params.n),
+        )
+        assert params.f > 100  # so the f - b discard is positive
+        result = simulation.run(max_pulses=4)
+        assert _fingerprint(result) == PINNED["discard"]
+
+    def test_breakpoints_inside_arrival_windows(self):
+        # 0.03-long segments put breakpoints among every row's arrival
+        # times, so blocks evaluate entries on several segments.
+        params = _pinned_build(drift="mixed", delay="skewing").params
+        rng = random.Random(9)
+        clocks = [
+            HardwareClock.random_drift(
+                rng, params.theta, offset=rng.uniform(0.0, params.S),
+                horizon=12.0, segment_length=0.03,
+            )
+            for _ in range(params.n)
+        ]
+        simulation = VectorizedSimulation(
+            params, clocks, faulty=range(params.n - params.f, params.n),
+            delay_policy=create("delay", "random", params.n),
+        )
+        result = simulation.run(max_pulses=4)
+        assert _fingerprint(result) == PINNED["segments"]
+
+    def test_until_cuts_mid_round(self):
+        # Untraced: pulses are recorded without the time-ordered pass.
+        built = build_simulation(
+            dict(PIN_CASE, drift="random", delay="random"),
+            backend="vectorized", seed=3, trace="none",
+        )
+        result = built.simulation.run(until=4.521)
+        counts = {len(t) for t in result.honest_pulses().values()}
+        assert counts == {2, 3}
+        assert _fingerprint(result) == PINNED["until"]
+
+    def test_observed_stream(self):
+        recorder = _Recorder()
+        built = build_simulation(
+            dict(PIN_CASE, drift="mixed", delay="eclipse"),
+            backend="vectorized", seed=5, checks=recorder,
+        )
+        result = built.simulation.run(max_pulses=4)
+        assert _fingerprint(result, recorder) == PINNED["checks"]
+
+
+def _reference_vote(params, nh, h, start, pulse_local):
+    """The mask / where / full-sort vote the fused kernel must equal."""
+    rows = np.arange(len(h))
+    diagonal = (rows, rows + start)
+    base = pulse_local[:, None]
+    accept = (h > base) & (h <= base + params.tcb_window + 1e-9)
+    accept[diagonal] = False
+    shift = params.d - params.u + params.S
+    estimates = np.where(accept, h - base - shift, np.nan)
+    estimates[diagonal] = 0.0
+    counts = 1 + accept.sum(axis=1)
+    discard = np.maximum(params.f - (params.n - counts), 0)
+    ordered = np.sort(estimates, axis=1)
+    latest = np.where(accept, h, -np.inf).max(axis=1)
+    return (
+        counts, ordered[rows, discard],
+        ordered[rows, counts - 1 - discard], latest,
+    )
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("honest", [21, 30], ids=["no-discard",
+                                                      "discard"])
+    @pytest.mark.parametrize("outside", [0.0, 0.2], ids=["inside",
+                                                         "outside"])
+    @pytest.mark.parametrize("observing", [False, True])
+    def test_matches_reference(self, honest, outside, observing):
+        # n = 41 tolerates f = 20; 30 honest nodes leave 11 faulty, so
+        # every receiver discards 9 estimates from each end.
+        params = derive_parameters(theta=1.001, u=0.02, d=1.0, n=41)
+        kernel = engine._BlockKernel(params, list(range(honest)), 8)
+        rng = np.random.default_rng(honest)
+        for start in (0, 8, honest - 5):
+            size = min(8, honest - start)
+            pulse_local = rng.uniform(2.0, 20.0, size)
+            h = pulse_local[:, None] + rng.uniform(
+                -outside, params.tcb_window + outside, (size, honest)
+            )
+            expected = _reference_vote(params, honest, h, start,
+                                       pulse_local)
+            vote = kernel.vote(h.copy(), start, pulse_local, observing)
+            got = (vote.counts, vote.low, vote.high, vote.latest)
+            for mine, theirs in zip(got, expected):
+                assert mine.tolist() == theirs.tolist()
+
+
+class TestClockTable:
+    def _clocks(self):
+        params = derive_parameters(theta=1.001, u=0.02, d=1.0, n=40)
+        clocks = create("drift", "mixed", params, 2)
+        clocks += create("drift", "random", params, 3)
+        return clocks
+
+    def test_inverse_and_forward_match_scalar_bit_for_bit(self):
+        clocks = self._clocks()
+        table = engine._VectorClock(clocks)
+        rng = np.random.default_rng(4)
+        local = rng.uniform(1.0, 150.0, len(clocks))
+        assert list(table.real_times(local)) == [
+            clock.real_time(value) for clock, value in zip(clocks, local)
+        ]
+        t = rng.uniform(0.0, 150.0, (len(clocks), 7))
+        out = table.local_times(slice(0, len(clocks)), t, np.empty_like(t))
+        assert out.tolist() == [
+            [clock.local_time(x) for x in row]
+            for clock, row in zip(clocks, t)
+        ]
+
+    def test_early_local_time_raises_scalar_error(self):
+        clocks = [
+            HardwareClock.constant_rate(1.0, offset=0.5),
+            HardwareClock.from_rates([(2.0, 1.001)], offset=0.25),
+        ]
+        local = np.array([0.75, 0.125])
+        with pytest.raises(ClockError) as scalar:
+            clocks[1].real_time(local[1])
+        with pytest.raises(ClockError) as batched:
+            engine._VectorClock(clocks).real_times(local)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_block_rows_budget(self):
+        assert engine.block_rows(501) == 523  # n <= 1k: one block
+        assert engine.block_rows(5001) == 52  # n = 10k
+        assert engine.block_rows(10 ** 7) == 1
