@@ -35,6 +35,10 @@ class SignatureKnowledge:
         # compare by (signer, value), so equal payloads contain equal
         # signature sets by construction.
         self._collected: Dict[Any, Tuple[Signature, ...]] = {}
+        # Earliest time each (hashable) payload was learned.  Learning
+        # only ever lowers a signature's time, so re-learning a payload
+        # at or after this time cannot change the table.
+        self._learned: Dict[Any, float] = {}
 
     def stats(self) -> Dict[str, int]:
         """Deterministic table sizes for the telemetry layer."""
@@ -56,6 +60,15 @@ class SignatureKnowledge:
 
     def learn_payload(self, payload: Any, time: float) -> None:
         """Record all signatures inside ``payload`` as known from ``time``."""
+        learned = self._learned
+        try:
+            earliest = learned.get(payload)
+        except TypeError:  # unhashable payload: no memo, walk it
+            pass
+        else:
+            if earliest is not None and time >= earliest:
+                return
+            learned[payload] = time
         for signature in self.signatures_of(payload):
             self.learn(signature, time)
 

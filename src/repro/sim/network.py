@@ -64,6 +64,14 @@ class NetworkConfig:
                 f"u_tilde must lie in [u={self.u}, d={self.d}], "
                 f"got {self.u_tilde}"
             )
+        # delay_bounds runs once per message: build both tuples once.
+        # (Not dataclass fields, so equality, hashing and repr ignore them.)
+        object.__setattr__(self, "_honest_bounds", (self.d - self.u, self.d))
+        object.__setattr__(
+            self,
+            "_faulty_bounds",
+            (self.d - self.faulty_uncertainty, self.d),
+        )
 
     @property
     def faulty_uncertainty(self) -> float:
@@ -72,8 +80,7 @@ class NetworkConfig:
 
     def delay_bounds(self, link_is_honest: bool) -> Tuple[float, float]:
         """Admissible ``(min, max)`` delay for a link."""
-        uncertainty = self.u if link_is_honest else self.faulty_uncertainty
-        return (self.d - uncertainty, self.d)
+        return self._honest_bounds if link_is_honest else self._faulty_bounds
 
     def validate_delay(
         self, delay: float, src_honest: bool, dst_honest: bool

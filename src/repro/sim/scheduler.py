@@ -22,11 +22,20 @@ Hot path
 The main loop is written for throughput: events are dispatched on the
 integer kind priority carried by the heap key (no ``isinstance``), the
 pulse-quota stop condition is maintained as a counter instead of an
-O(honest) scan per event, trace records are allocated only at the levels
-that record them (:class:`~repro.sim.trace.TraceLevel`), and the queue's
-heap/slab are accessed through locals hoisted out of the loop.  None of
-this changes semantics: event order is still (time, priority, insertion
-seq), and pulse outputs are byte-identical across trace levels.
+O(honest) scan per event, and the queue's heap/slab are accessed through
+locals hoisted out of the loop.
+
+Every honest send goes through one loop,
+:meth:`Simulation.honest_multicast`: a broadcast calls it once, and
+:meth:`Simulation.honest_send` is its one-destination case.  It hoists
+the per-send state, validates only delays that fall outside the link's
+bounds, and pushes deliveries onto the heap inline.  ``SendRecord`` and
+``DeliveryRecord`` objects are built only for a FULL trace
+(:class:`~repro.sim.trace.TraceLevel`) or for a behaviour that overrides
+the hook consuming them (``on_honest_send`` / ``on_deliver``; decided
+once when the behaviour is set).  None of this changes semantics: event
+order is still (time, priority, insertion seq), hooks run at the same
+points, and pulse outputs are byte-identical across trace levels.
 
 Telemetry (:mod:`repro.telemetry`) follows the same
 zero-cost-when-unused contract as ``checks=`` and ``dynamics=``: with no
@@ -38,11 +47,13 @@ order, so instrumented runs stay byte-identical to bare ones.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signatures import Signature
+from repro.sim.adversary import ByzantineBehavior
 from repro.sim.clocks import EPS, HardwareClock
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.events import (
@@ -91,7 +102,7 @@ class SimulationResult:
 class _SimNodeAPI(NodeAPI):
     """The :class:`NodeAPI` implementation backed by the simulator."""
 
-    __slots__ = ("_sim", "node_id", "n", "f", "_clock", "_key_pair")
+    __slots__ = ("_sim", "node_id", "n", "f", "_clock", "_key_pair", "_others")
 
     def __init__(self, sim: "Simulation", node_id: int) -> None:
         self._sim = sim
@@ -100,6 +111,7 @@ class _SimNodeAPI(NodeAPI):
         self.f = sim.f
         self._clock = sim.clocks[node_id]
         self._key_pair = sim.pki.key_pair(node_id)
+        self._others = tuple(v for v in range(self.n) if v != node_id)
 
     def local_time(self) -> float:
         return self._clock.local_time(self._sim.now)
@@ -126,11 +138,7 @@ class _SimNodeAPI(NodeAPI):
         self._sim.honest_send(self.node_id, dst, payload)
 
     def broadcast(self, payload: Any) -> None:
-        sim = self._sim
-        node_id = self.node_id
-        for dst in range(self.n):
-            if dst != node_id:
-                sim.honest_send(node_id, dst, payload)
+        self._sim.honest_multicast(self.node_id, self._others, payload)
 
     def sign(self, value: Hashable) -> Signature:
         return self._key_pair.sign(value)
@@ -255,6 +263,16 @@ class AdversaryContext:
         )
 
 
+def _overrides(behavior: Any, hook: str) -> bool:
+    """Does ``behavior`` replace :class:`ByzantineBehavior`'s no-op
+    ``hook``?  A duck-typed behaviour (not a subclass) counts as
+    overriding, so it still receives every call."""
+    method = getattr(behavior, hook, None)
+    return getattr(method, "__func__", method) is not getattr(
+        ByzantineBehavior, hook
+    )
+
+
 class Simulation:
     """A single timed execution of a protocol under a chosen adversary."""
 
@@ -331,6 +349,24 @@ class Simulation:
         self.dynamics = dynamics
         if dynamics is not None:
             dynamics.install(self)
+
+    @property
+    def behavior(self) -> Any:
+        """The Byzantine behaviour driving the faulty nodes (or ``None``)."""
+        return self._behavior
+
+    @behavior.setter
+    def behavior(self, behavior: Any) -> None:
+        # Per-message hooks are called only when the behaviour replaces
+        # the base no-op, so a behaviour that keeps it costs no
+        # SendRecord/DeliveryRecord.  Decided once per assignment.
+        self._behavior = behavior
+        self._observe_sends = behavior is not None and _overrides(
+            behavior, "on_honest_send"
+        )
+        self._observe_deliveries = behavior is not None and _overrides(
+            behavior, "on_deliver"
+        )
 
     def protocol(self, node: int) -> TimedProtocol:
         """The protocol instance of an honest node (for diagnostics)."""
@@ -445,39 +481,82 @@ class Simulation:
     # Message plumbing
 
     def honest_send(self, src: int, dst: int, payload: Any) -> None:
-        """Dispatch a send by an honest node through the delay policy."""
+        """Dispatch a send by an honest node: a one-destination
+        :meth:`honest_multicast`."""
+        self.honest_multicast(src, (dst,), payload)
+
+    def honest_multicast(
+        self, src: int, dsts: Iterable[int], payload: Any
+    ) -> None:
+        """Send ``payload`` from honest ``src`` to each of ``dsts``, in
+        order — the only honest send path.
+
+        Per destination: the delay policy picks a delay, out-of-bounds
+        delays go through :meth:`NetworkConfig.validate_delay` (which
+        raises :class:`~repro.sim.errors.ModelViolation` or clamps
+        within ``EPS``), and the delivery is pushed onto the queue's
+        heap inline with the next sequence number.  A
+        :class:`SendRecord` is built only for a FULL trace or a
+        behaviour that overrides ``on_honest_send``; the hook runs
+        synchronously after each push, exactly as a per-message send
+        would, and may itself push (``ctx.send_from``).
+        """
         now = self.now
-        link_is_honest = dst not in self.faulty  # src is honest here
-        delay = self.delay_policy.delay(
-            self.config, src, dst, now, payload, link_is_honest
-        )
-        delay = self.config.validate_delay(
-            delay, src_honest=True, dst_honest=link_is_honest
-        )
-        # The SendRecord doubles as the trace entry and the adversary's
-        # observation; build it once, and only when someone consumes it.
-        behavior = self.behavior
-        if behavior is not None or self.trace.level >= TraceLevel.FULL:
-            record = SendRecord(
-                time=now,
-                src=src,
-                dst=dst,
-                payload=payload,
-                delay=delay,
-                src_honest=True,
-            )
-            if self.trace.level >= TraceLevel.FULL:
-                self.trace.records.append(record)
-        self.queue.push(
-            now + delay,
-            PRIORITY_DELIVERY,
-            DeliveryEvent(src, dst, payload, now),
-        )
+        config = self.config
+        delay_of = self.delay_policy.delay
+        validate = config.validate_delay
+        faulty = self.faulty
+        honest_low, honest_high = config.delay_bounds(True)
+        faulty_low, faulty_high = config.delay_bounds(False)
+        trace = self.trace
+        trace_full = trace.level >= TraceLevel.FULL
+        observe = self._observe_sends
         telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_honest_send(src, payload, delay)
-        if behavior is not None:
-            behavior.on_honest_send(self._adversary_ctx, record)
+        queue = self.queue
+        heap = queue._heap
+        slab = queue._slab
+        heappush = heapq.heappush
+        seq = queue._next_seq
+        try:
+            for dst in dsts:
+                link_is_honest = dst not in faulty  # src is honest here
+                delay = delay_of(
+                    config, src, dst, now, payload, link_is_honest
+                )
+                if link_is_honest:
+                    if not honest_low <= delay <= honest_high:
+                        delay = validate(delay, True, True)
+                elif not faulty_low <= delay <= faulty_high:
+                    delay = validate(delay, True, False)
+                slab[seq] = DeliveryEvent(src, dst, payload)
+                heappush(heap, (now + delay, PRIORITY_DELIVERY, seq))
+                seq += 1
+                if telemetry is not None:
+                    telemetry.on_honest_send(src, payload, delay)
+                if observe or trace_full:
+                    # One record serves as trace entry and observation.
+                    record = SendRecord(
+                        time=now,
+                        src=src,
+                        dst=dst,
+                        payload=payload,
+                        delay=delay,
+                        src_honest=True,
+                    )
+                    if trace_full:
+                        trace.records.append(record)
+                    if observe:
+                        # The hook may push too: hand the queue its seq
+                        # and take back whatever the hook left there.
+                        queue._next_seq = seq
+                        try:
+                            self._behavior.on_honest_send(
+                                self._adversary_ctx, record
+                            )
+                        finally:
+                            seq = queue._next_seq
+        finally:
+            queue._next_seq = seq
 
     def faulty_send(
         self, src: int, dst: int, payload: Any, delay: Optional[float]
@@ -492,18 +571,19 @@ class Simulation:
         delay = self.config.validate_delay(
             delay, src_honest=False, dst_honest=dst not in self.faulty
         )
-        self.trace.send(
-            time=now,
-            src=src,
-            dst=dst,
-            payload=payload,
-            delay=delay,
-            src_honest=False,
-        )
+        if self.trace.level >= TraceLevel.FULL:
+            self.trace.records.append(
+                SendRecord(
+                    time=now,
+                    src=src,
+                    dst=dst,
+                    payload=payload,
+                    delay=delay,
+                    src_honest=False,
+                )
+            )
         self.queue.push(
-            now + delay,
-            PRIORITY_DELIVERY,
-            DeliveryEvent(src, dst, payload, now),
+            now + delay, PRIORITY_DELIVERY, DeliveryEvent(src, dst, payload)
         )
         telemetry = self.telemetry
         if telemetry is not None:
@@ -578,16 +658,15 @@ class Simulation:
         # Hot loop: everything dereferenced per event is hoisted into
         # locals; the queue's heap/slab are accessed directly (peek +
         # pop fused); dispatch keys on the heap priority int.
-        import heapq as _heapq
-
-        heappop = _heapq.heappop
+        heappop = heapq.heappop
         heap = self.queue._heap
         slab = self.queue._slab
         protocols = self._protocols
         apis = self._apis
         faulty = self.faulty
         knowledge = self.knowledge
-        behavior = self.behavior
+        behavior = self._behavior
+        observe_deliveries = self._observe_deliveries
         ctx = self._adversary_ctx
         trace = self.trace
         trace_full = trace.level >= TraceLevel.FULL
@@ -651,32 +730,29 @@ class Simulation:
                     elif telem_counters is not None:
                         telem_counters["timers.dropped.inactive"] += 1
                 elif priority == PRIORITY_DELIVERY:
-                    dst = event.dst
+                    src, dst, payload = event
                     if trace_full:
                         trace_records.append(
                             DeliveryRecord(
-                                time=time,
-                                src=event.src,
-                                dst=dst,
-                                payload=event.payload,
+                                time=time, src=src, dst=dst, payload=payload
                             )
                         )
                     if dst in faulty:
                         # Knowledge pools across faulty nodes at
                         # reception time.
-                        knowledge.learn_payload(event.payload, time)
+                        knowledge.learn_payload(payload, time)
                         if telem_counters is not None:
                             telem_counters[
                                 "messages.delivered.adversary"
                             ] += 1
-                        if behavior is not None:
+                        if observe_deliveries:
                             behavior.on_deliver(
                                 ctx,
                                 DeliveryRecord(
                                     time=time,
-                                    src=event.src,
+                                    src=src,
                                     dst=dst,
-                                    payload=event.payload,
+                                    payload=payload,
                                 ),
                             )
                     else:
@@ -686,9 +762,7 @@ class Simulation:
                                 telem_counters[
                                     "messages.delivered.honest"
                                 ] += 1
-                            protocol.on_message(
-                                apis[dst], event.src, event.payload
-                            )
+                            protocol.on_message(apis[dst], src, payload)
                         elif telem_counters is not None:
                             telem_counters["messages.dropped.inactive"] += 1
                 elif priority == PRIORITY_ADVERSARY:

@@ -10,9 +10,10 @@ Recording is tiered by :class:`TraceLevel`:
 
 * ``FULL`` — every record type (the default; what tests and examples use).
 * ``PULSES`` — only :class:`PulseRecord` entries.  Campaign sweeps that
-  only tabulate skew metrics run here: per-message ``SendRecord`` /
-  ``DeliveryRecord`` allocation is skipped entirely, which is a large
-  fraction of the simulator's inner-loop cost.
+  only tabulate skew metrics run here: no per-message ``SendRecord`` /
+  ``DeliveryRecord`` is allocated unless the attached adversary
+  overrides the hook that receives it (``on_honest_send`` /
+  ``on_deliver``).
 * ``NONE`` — nothing is recorded (``Trace(enabled=False)`` maps here).
 
 The level only controls *recording*; pulse times themselves live on the

@@ -280,6 +280,20 @@ class TestPerfCases:
         restored = BenchResult.from_json_dict(result.to_json_dict())
         assert restored.meta["verify_cache"] == cache
 
+    def test_each_measured_repeat_starts_cold(self):
+        from repro.perf import run_case
+
+        once = run_case("cps-full-trace", scale="quick", repeats=1)
+        twice = run_case("cps-full-trace", scale="quick", repeats=2)
+        cache = once.meta["verify_cache"]
+        # The warmup run cannot prime the memo: real misses are timed.
+        assert cache["misses"] > 0 and cache["hit_rate"] < 1.0
+        assert twice.meta["verify_cache"] == {
+            "hits": 2 * cache["hits"],
+            "misses": 2 * cache["misses"],
+            "hit_rate": cache["hit_rate"],
+        }
+
     def test_telemetry_overhead_case_asserts_identity(self):
         from repro.perf import run_case
 

@@ -8,6 +8,7 @@ from repro.sim.events import (
     PRIORITY_ADVERSARY,
     PRIORITY_DELIVERY,
     PRIORITY_TIMER,
+    DeliveryEvent,
     EventQueue,
 )
 from repro.sim.knowledge import SignatureKnowledge
@@ -72,6 +73,13 @@ class TestEventQueue:
         assert queue.peek_time() == 3.0
         assert len(queue) == 1
 
+    def test_delivery_event_is_an_immutable_triple(self):
+        event = DeliveryEvent(0, 1, "m")
+        assert event._fields == ("src", "dst", "payload")
+        assert tuple(event) == (0, 1, "m")
+        with pytest.raises(AttributeError):
+            event.dst = 2
+
 
 class TestNetworkConfig:
     def test_validates_basic_fields(self):
@@ -96,6 +104,21 @@ class TestNetworkConfig:
         config = NetworkConfig(3, 1.0, 0.1, u_tilde=0.4)
         assert config.delay_bounds(True) == (0.9, 1.0)
         assert config.delay_bounds(False) == (0.6, 1.0)
+
+    def test_precomputed_bounds_survive_copies(self):
+        import dataclasses
+        import pickle
+
+        config = NetworkConfig(3, 1.0, 0.1, u_tilde=0.4)
+        wider = dataclasses.replace(config, u=0.2)
+        assert wider.delay_bounds(True) == (0.8, 1.0)
+        assert wider.delay_bounds(False) == (0.6, 1.0)
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config and hash(clone) == hash(config)
+        assert clone.delay_bounds(False) == (0.6, 1.0)
+        assert repr(config) == (
+            "NetworkConfig(n=3, d=1.0, u=0.1, u_tilde=0.4)"
+        )
 
     def test_validate_delay_rejects_out_of_range(self):
         config = NetworkConfig(3, 1.0, 0.1)
@@ -189,6 +212,52 @@ class TestSignatureKnowledge:
         signature = self.pki.key_pair(0).sign("m")
         with pytest.raises(ForgeryError):
             self.knowledge.check_payload((signature,), 1.0, sender=3)
+
+    def test_forgery_error_text(self):
+        signature = self.pki.key_pair(0).sign("m")
+        with pytest.raises(ForgeryError) as info:
+            self.knowledge.check_payload((signature,), 1.0, sender=3)
+        assert str(info.value) == (
+            "faulty node 3 tried to send signature (0, 'm') at time 1.0, "
+            "first known at inf"
+        )
+        self.knowledge.learn_payload((signature,), 4.0)
+        with pytest.raises(ForgeryError) as info:
+            self.knowledge.check_payload((signature,), 1.0, sender=3)
+        assert str(info.value).endswith("first known at 4.0")
+
+    def test_later_learn_payload_is_a_no_op(self):
+        signature = self.pki.key_pair(0).sign("m")
+        payload = ("tag", signature)
+        self.knowledge.learn_payload(payload, 2.0)
+
+        def walk(_payload):
+            raise AssertionError("a later re-learn must not walk")
+
+        self.knowledge.signatures_of = walk
+        self.knowledge.learn_payload(payload, 2.0)
+        self.knowledge.learn_payload(payload, 7.5)
+        assert self.knowledge.earliest_known(signature) == 2.0
+
+    def test_earlier_learn_payload_lowers_earliest(self):
+        signature = self.pki.key_pair(0).sign("m")
+        payload = ("tag", signature)
+        self.knowledge.learn_payload(payload, 5.0)
+        # Another payload carrying the same signature shares its time.
+        self.knowledge.learn_payload(("other", signature), 3.0)
+        assert self.knowledge.earliest_known(signature) == 3.0
+        self.knowledge.learn_payload(payload, 1.0)
+        assert self.knowledge.earliest_known(signature) == 1.0
+        self.knowledge.learn_payload(("other", signature), 2.0)
+        assert self.knowledge.earliest_known(signature) == 1.0
+
+    def test_unhashable_payloads_still_walk(self):
+        signature = self.pki.key_pair(1).sign("m")
+        payload = [signature]
+        self.knowledge.learn_payload(payload, 5.0)
+        self.knowledge.learn_payload(payload, 2.0)
+        assert self.knowledge.earliest_known(signature) == 2.0
+        assert self.knowledge.stats()["payloads_memoized"] == 0
 
     def test_check_payload_passes_after_learning(self):
         signature = self.pki.key_pair(0).sign("m")
