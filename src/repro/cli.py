@@ -878,10 +878,11 @@ def _command_perf_run(args: argparse.Namespace) -> int:
             f"verify-cache {rate:.1%}" if rate is not None
             else "verify-cache n/a"
         )
+        unit = result.meta.get("unit", "events")
         print(
-            f"{name:<18} {result.events:>9} events  "
+            f"{name:<18} {result.events:>9} {unit}  "
             f"{result.wall_seconds:8.3f}s  "
-            f"{result.events_per_sec:>12,.0f} ev/s  "
+            f"{result.events_per_sec:>12,.0f} {unit}/s  "
             f"norm {normalized:.4f}  {cache_note}  -> {path}"
         )
     return 0

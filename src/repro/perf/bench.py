@@ -25,7 +25,7 @@ class BenchResult:
     """One perf case's measurement, JSON round-trippable."""
 
     name: str
-    events: int
+    events: int  # work count, in ``meta["unit"]`` when set, else events
     wall_seconds: float
     events_per_sec: float
     peak_rss_kib: int

@@ -1,10 +1,11 @@
 """The registered perf cases: named workloads measured by ``repro perf``.
 
 Each case builds and runs real simulations under a
-:class:`~repro.perf.probe.PerfProbe` and reports the simulator events it
-processed.  Cases accept a scale (``quick`` for the CI smoke gate,
-``full`` for local investigation) that widens the workload without
-changing its shape.
+:class:`~repro.perf.probe.PerfProbe` and reports its work count: the
+simulator events it processed, or the unit named by ``meta["unit"]``
+(the ``e9-vectorized-*`` cases count honest node-rounds).  Cases
+accept a scale (``quick`` for the CI smoke gate, ``full`` for local
+investigation) that widens the workload without changing its shape.
 
 ``e5-stress`` is the reference case for the engine rewrite: the E5
 resilience grid (CPS and Lynch-Welch at the extreme fault counts) under
@@ -20,8 +21,8 @@ from typing import Callable, Dict, List, Tuple
 from repro.perf.bench import BenchResult
 from repro.perf.probe import PerfProbe
 
-#: A case body: ``run(scale)`` returning (events, meta) — the probe wall
-#: time is captured around the call by :func:`run_case`.
+#: A case body: ``run(scale)`` returning (work count, meta) — the probe
+#: wall time is captured around the call by :func:`run_case`.
 CaseBody = Callable[[str], Tuple[int, Dict[str, object]]]
 
 PERF_CASES: Dict[str, "PerfCase"] = {}
@@ -328,10 +329,12 @@ def _e9_scale_point(
 ) -> Tuple[int, Dict[str, object]]:
     """One E9-SCALE grid point: silent-adversary CPS at scale ``n``.
 
-    The same registry case the E9-SCALE campaign sweeps; ``events`` are
-    the *modeled* events (what the event engine would have dispatched),
-    so events/sec across backends measures simulated-work throughput —
-    the number the scale study exists to compare.
+    The same registry case the E9-SCALE campaign sweeps.  Its work
+    count is honest node-rounds (pulses emitted by honest nodes), the
+    unit ``meta["unit"]`` names: the vectorized backend dispatches no
+    events, and grading its *modeled* events (what the event engine
+    would have dispatched, ``meta["modeled_events"]``) by the ratio
+    used for dispatched ones would compare unlike things.
     """
     from repro.analysis.runner import run_pulse_trial
     from repro.build import build_simulation
@@ -350,7 +353,12 @@ def _e9_scale_point(
     outcome = run_pulse_trial(built.simulation, pulses, warmup=2)
     assert outcome.result is not None, outcome.error
     assert outcome.report is not None, "scale point must stay live"
-    return outcome.result.events_processed, {
+    node_rounds = sum(
+        len(times) for times in outcome.result.honest_pulses().values()
+    )
+    return node_rounds, {
+        "unit": "node-rounds",
+        "modeled_events": outcome.result.events_processed,
         "n": n,
         "pulses": pulses,
         "backend": backend,

@@ -1,12 +1,15 @@
-"""Per-round delay matrices for the vectorized backend.
+"""Per-round delays for the vectorized backend.
 
 The event engine asks the :class:`~repro.sim.network.DelayPolicy` for
-one delay per message; the vectorized engine needs the same answers as
-a ``(receivers, senders)`` array per pulse round.  Every built-in
-policy has a closed-form fast path here (the formulas mirror the
-scalar ``delay()`` implementations line for line); unknown policy
-subclasses fall back to per-pair scalar calls, which keeps any custom
-policy *correct* on this backend, just not fast.
+one delay per message; the vectorized engine needs the same answers
+for a whole pulse round at once.  Policies whose delay depends only on
+the receiver's class, the sender and the send time have one
+closed-form formula each, in :func:`delay_rows`: a few class rows
+instead of a ``(receivers, senders)`` matrix (the formulas mirror the
+scalar ``delay()`` implementations).  :func:`delay_matrix` expands
+those rows, draws random delays, applies per-link overrides, and falls
+back to per-pair scalar calls for unknown policy subclasses, which
+keeps any custom policy *correct* on this backend, just not fast.
 
 Two deliberate semantic notes:
 
@@ -25,7 +28,7 @@ Two deliberate semantic notes:
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 try:  # gated dependency: the event engine must work without numpy
     import numpy as np
@@ -58,34 +61,82 @@ def _membership(nodes: Sequence[int], members) -> "np.ndarray":
     return np.isin(nodes, list(members))
 
 
-def sender_masks(
-    policy: DelayPolicy, senders: Sequence[int], send_real: "np.ndarray"
-) -> Any:
-    """The sender-side mask one round's :func:`delay_matrix` calls share.
+def _check_bounds(
+    policy: DelayPolicy, config: NetworkConfig, entries: "np.ndarray"
+) -> None:
+    """Raise :class:`ModelViolation` when any of ``entries`` (every
+    value a delay array holds) leaves the honest-link bounds."""
+    low, high = config.delay_bounds(True)
+    if entries.size and (
+        entries.min() < low - EPS or entries.max() > high + EPS
+    ):
+        raise ModelViolation(
+            f"{policy.describe()} produced a delay outside "
+            f"[{low}, {high}]"
+        )
 
-    Depends only on the senders and their send times, so the engine
-    computes it once per round and passes it to every receiver block
-    instead of redoing the O(senders) membership test per block.
-    ``None`` for policies that need no mask.
+
+def delay_rows(
+    policy: DelayPolicy,
+    config: NetworkConfig,
+    senders: Sequence[int],
+    receivers: Sequence[int],
+    send_real: "np.ndarray",
+) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+    """One round's delays as a few class rows, or ``None``.
+
+    Returns ``(row_class, rows)``: entry ``[i, j]`` of the round's
+    delay matrix is ``rows[row_class[i], j]``, the delay of
+    ``senders[j] → receivers[i]``.  This covers every built-in policy
+    whose delay depends only on the receiver's class, the sender and
+    the send time — one class for maximum, minimum, constant-fraction
+    and skewing, two (victim or not; group A or not) for eclipse and
+    the partitions.  Random, per-link and unknown policies return
+    ``None``.  Raises :class:`ModelViolation` for an out-of-bounds
+    delay, as :func:`delay_matrix` does.
     """
+    low, high = config.delay_bounds(True)
     kind = type(policy)
-    if kind is BiasedPartitionDelayPolicy:
-        return _membership(senders, policy.group_a)
-    if kind is SkewingDelayPolicy:
-        return _membership(senders, policy.slow_senders)
-    if kind is EclipseDelayPolicy:
-        return _membership(senders, policy.victims)
-    if kind is FlickeringPartitionDelayPolicy:
-        # Odd phases swap which side counts as "same group", so fold
-        # the phase into the sender's side: a link is fast exactly
-        # when the folded side equals the receiver's.
-        odd = (
-            np.floor_divide(send_real, policy.period).astype(np.int64) % 2
-        ) == 1
-        return _membership(senders, policy.group_a) != odd
-    if kind is PerLinkDelayPolicy:
-        return sender_masks(policy.fallback, senders, send_real)
-    return None
+    row_class = np.zeros(len(receivers), dtype=np.intp)  # one class
+    if kind in (MaximumDelayPolicy, DelayPolicy):
+        rows = np.full((1, len(senders)), config.d)
+    elif kind is MinimumDelayPolicy:
+        rows = np.full((1, len(senders)), low)
+    elif kind is ConstantFractionDelayPolicy:
+        value = high - policy.fraction * (high - low)
+        rows = np.full((1, len(senders)), value)
+    elif kind is SkewingDelayPolicy:
+        slow = _membership(senders, policy.slow_senders)
+        rows = np.where(slow, high, low)[None, :]
+    elif kind is EclipseDelayPolicy:
+        # Class 1 is the victims: every link into a victim is slow.
+        victim = _membership(senders, policy.victims)
+        row_class = _membership(receivers, policy.victims).astype(np.intp)
+        rows = np.stack(
+            (np.where(victim, high, low), np.full(len(senders), high))
+        )
+    elif kind in (
+        BiasedPartitionDelayPolicy, FlickeringPartitionDelayPolicy
+    ):
+        side = _membership(senders, policy.group_a)
+        if kind is FlickeringPartitionDelayPolicy:
+            # Odd phases swap which side counts as "same group", so
+            # fold the phase into the sender's side: a link is fast
+            # exactly when the folded side equals the receiver's.
+            side = side != (
+                np.floor_divide(send_real, policy.period).astype(np.int64)
+                % 2
+                == 1
+            )
+        # Class 1 is group A: fast exactly from senders on its side.
+        row_class = _membership(receivers, policy.group_a).astype(np.intp)
+        rows = np.stack(
+            (np.where(side, high, low), np.where(side, low, high))
+        )
+    else:
+        return None
+    _check_bounds(policy, config, rows)
+    return row_class, rows
 
 
 def delay_matrix(
@@ -95,7 +146,7 @@ def delay_matrix(
     receivers: Sequence[int],
     send_real: "np.ndarray",
     rng: Any = None,
-    senders_mask: Any = None,
+    classes: Any = None,
 ) -> "np.ndarray":
     """Delays of one round's dealer broadcasts, shape
     ``(len(receivers), len(senders))``.
@@ -104,49 +155,26 @@ def delay_matrix(
     broadcast; entry ``[i, j]`` is the delay of the message
     ``senders[j] → receivers[i]``.  ``rng`` carries the persistent
     numpy generator for :class:`RandomDelayPolicy` (one per run, so
-    successive rounds draw fresh values).  ``senders_mask`` is the
-    round's :func:`sender_masks` result, computed here when omitted.
-    Self-links (where a receiver equals a sender) are computed like
-    any other entry and must be masked by the caller.  The result is
-    a fresh array the caller may overwrite.
+    successive rounds draw fresh values).  ``classes`` is the
+    :func:`delay_rows` result for these receivers when the caller
+    already has it (the engine forms it once per round); it is
+    computed here when omitted.  Self-links (where a receiver equals a
+    sender) are computed like any other entry and must be masked by
+    the caller.  The result is a fresh array the caller may overwrite.
     """
+    if classes is None:
+        classes = delay_rows(policy, config, senders, receivers, send_real)
+    if classes is not None:
+        row_class, rows = classes
+        return rows[row_class]
     shape = (len(receivers), len(senders))
-    low, high = config.delay_bounds(True)
     kind = type(policy)
-    if senders_mask is None:
-        senders_mask = sender_masks(policy, senders, send_real)
-    # ``entries`` holds every value the matrix contains; the fill and
-    # select paths name their few values so the bounds check below
-    # need not scan the whole matrix.
-    if kind is MinimumDelayPolicy:
-        entries = np.array([low])
-        matrix = np.full(shape, low)
-    elif kind is ConstantFractionDelayPolicy:
-        entries = np.array([high - policy.fraction * (high - low)])
-        matrix = np.full(shape, entries[0])
-    elif kind is RandomDelayPolicy:
-        matrix = entries = rng.uniform(low, high, size=shape)
-    elif kind in (
-        BiasedPartitionDelayPolicy, FlickeringPartitionDelayPolicy
-    ):
-        same = senders_mask[None, :] == _membership(
-            receivers, policy.group_a
-        )[:, None]
-        entries = np.array([low, high])
-        matrix = np.where(same, low, high)
-    elif kind is SkewingDelayPolicy:
-        # Sender-only mask: broadcast explicitly, or the matrix comes
-        # out (1, senders) instead of (receivers, senders).
-        entries = np.where(senders_mask, high, low)
-        matrix = np.broadcast_to(entries, shape).copy()
-    elif kind is EclipseDelayPolicy:
-        dst_v = _membership(receivers, policy.victims)[:, None]
-        entries = np.array([low, high])
-        matrix = np.where(senders_mask[None, :] | dst_v, high, low)
+    if kind is RandomDelayPolicy:
+        low, high = config.delay_bounds(True)
+        matrix = rng.uniform(low, high, size=shape)
     elif kind is PerLinkDelayPolicy:
-        matrix = entries = delay_matrix(
-            policy.fallback, config, senders, receivers, send_real, rng,
-            senders_mask,
+        matrix = delay_matrix(
+            policy.fallback, config, senders, receivers, send_real, rng
         )
         for (src, dst), value in policy.overrides.items():
             rows = [i for i, node in enumerate(receivers) if node == dst]
@@ -154,23 +182,14 @@ def delay_matrix(
             for i in rows:
                 for j in cols:
                     matrix[i, j] = value
-    elif kind in (MaximumDelayPolicy, DelayPolicy):
-        entries = np.array([config.d])
-        matrix = np.full(shape, config.d)
     else:
         # Generic subclass: fall back to the scalar protocol so any
         # custom policy stays correct (O(senders x receivers) calls).
-        matrix = entries = np.empty(shape)
+        matrix = np.empty(shape)
         for i, dst in enumerate(receivers):
             for j, src in enumerate(senders):
                 matrix[i, j] = policy.delay(
                     config, src, dst, float(send_real[j]), None, True
                 )
-    if matrix.size and (
-        entries.min() < low - EPS or entries.max() > high + EPS
-    ):
-        raise ModelViolation(
-            f"{policy.describe()} produced a delay outside "
-            f"[{low}, {high}]"
-        )
+    _check_bounds(policy, config, matrix)
     return matrix

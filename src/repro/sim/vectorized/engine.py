@@ -5,8 +5,8 @@ full CPS round with array operations:
 
 1. pulse — evaluate each node's next pulse (real, local) time;
 2. broadcast — each honest dealer's ``<r>_v`` leaves at local
-   ``H_v(p^r_v) + theta S``; a per-round delay matrix
-   (:mod:`repro.sim.vectorized.delays`) gives every arrival time;
+   ``H_v(p^r_v) + theta S``; the round's delays
+   (:mod:`repro.sim.vectorized.delays`) give every arrival time;
 3. accept — the TCB window test ``P < h <= P + window`` over
    (receiver, dealer) pairs;
 4. vote — offset estimates ``h - P - d + u - S`` where accepted (⊥
@@ -30,19 +30,38 @@ The kernel
 * **Clock table.**  All honest clocks live in one padded
   (nodes × segments) table (:class:`_VectorClock`).  Pulse, send and
   completion times are one batched ``H^{-1}`` call each per round;
-  arrival local times are one batched ``H`` call per block.  Both pick
+  arrival local times are one batched ``H`` call per round on the
+  class path and per block on the block path.  Both pick
   the segment ``bisect_right`` would and apply
   :class:`~repro.sim.clocks.HardwareClock`'s IEEE operations in its
   order, so they are bit-identical to the scalar clock.
-* **Byte-budgeted blocks.**  Receivers are processed in blocks of
-  ``BLOCK_BYTES // (8 * honest)`` rows (about 2 MiB per array, 52 rows
-  at n = 10,000, one block at n <= 1,000).  The delay matrix is turned
-  into arrival times in place and the local times go to one reused
-  buffer, so a block touches a few cache-sized arrays instead of
-  page-faulting fresh n-wide temporaries.
-* **Fused accept and vote** (:class:`_BlockKernel`).  Every step
-  returns exactly what the mask / ``where`` / full-sort formulation
-  returns:
+* **Class-structured delays.**  When the delay policy's delays come as
+  a few class rows (``delay_rows``: ``rows[row_class[receiver],
+  sender]``), an unobserved round needs no (receivers × dealers)
+  matrix.  Each class row of real arrivals ``rows + send_real`` gives
+  its two smallest and two largest entries with their indices, so
+  every receiver gets its earliest and latest arrival from the *other*
+  dealers in O(n).  Within one clock segment ``local + rate * (t -
+  start)`` is monotone non-decreasing in IEEE arithmetic, so ``max_j
+  H_i(t_j) = H_i(max_j t_j)`` bit for bit: one ``H`` call on an
+  (honest × 2) array gives every receiver's local extremes, and a
+  receiver whose two extremes lie on different segments of its clock
+  has its whole row evaluated instead.  That is all the vote needs
+  when every arrival is inside its window and nothing is discarded.
+* **Byte-budgeted blocks: the fallback.**  Every other round — random,
+  per-link and custom delay policies, checks or a FULL trace, some
+  arrival outside its window, a positive discard (fewer faulty nodes
+  than ``f``) — runs over receiver blocks of ``BLOCK_BYTES // (8 *
+  honest)`` rows (about 2 MiB per array, 52 rows at n = 10,000, one
+  block at n <= 1,000).  The delay matrix is turned into arrival
+  times in place and the local times go to one reused buffer,
+  allocated on the first block, so a block touches a few cache-sized
+  arrays instead of page-faulting fresh n-wide temporaries.  The
+  choice is made per round from its inputs.
+* **Fused accept and vote** (:class:`_BlockKernel`).  Both paths end
+  in one finishing step that takes each receiver's earliest and latest
+  arrival.  Every step returns exactly what the mask / ``where`` /
+  full-sort formulation returns:
 
   - Plain row minima and maxima of ``h`` (self-links set to ``∓inf``)
     decide the window test for rows whose every message is inside it;
@@ -59,7 +78,7 @@ The kernel
     distinct ranks places the same values at those ranks as a full
     sort.
 
-Checks and FULL traces use the same kernel; they force the mask path
+Checks and FULL traces take the block path; they force the mask path
 and read an unpartitioned copy of the estimates, which only matters at
 the small n those observers run at.
 """
@@ -92,7 +111,7 @@ from repro.sim.trace import Trace, TraceLevel, TraceSpec
 from repro.sim.vectorized.delays import (
     delay_matrix,
     delay_rng,
-    sender_masks,
+    delay_rows,
 )
 from repro.sync.crusader import BOT
 
@@ -188,11 +207,20 @@ class _VectorClock:
             self.rates
         )
 
+    def segments(self, t: "np.ndarray") -> "np.ndarray":
+        """Clock ``i``'s segment index at each time ``t[i, j]``, as
+        :meth:`local_times` picks it (every clock, one row each)."""
+        count = np.count_nonzero(
+            self.starts[:, None, :] <= t[:, :, None], axis=2
+        )
+        return np.clip(count - 1, 0, (self.sizes - 1)[:, None])
+
     def local_times(
-        self, rows: slice, t: "np.ndarray", out: "np.ndarray"
+        self, rows: Any, t: "np.ndarray", out: "np.ndarray"
     ) -> "np.ndarray":
-        """Batched ``H`` over a block: ``out[i, j] = H_k(t[i, j])`` for
-        the ``k = rows.start + i``-th clock; returns ``out``."""
+        """Batched ``H`` over clock rows ``rows`` (a slice or an index
+        array): ``out[i, j] = H_k(t[i, j])`` for the clock
+        ``k = rows[i]``; returns ``out``, which must not be ``t``."""
         row = np.arange(len(t))
         if self.constant:
             return self._affine(rows, row, 0, t, out)
@@ -219,7 +247,7 @@ class _VectorClock:
 
     def _affine(
         self,
-        rows: slice,
+        rows: Any,
         row: "np.ndarray",
         segment: Any,
         t: "np.ndarray",
@@ -242,8 +270,8 @@ class _VectorClock:
 
 
 class _Vote(NamedTuple):
-    """One block's acceptances and vote, row ``i`` for receiver
-    ``start + i``."""
+    """The acceptances and vote of receivers ``start`` onwards, row
+    ``i`` for receiver ``start + i``."""
 
     counts: "np.ndarray"  # non-⊥ estimates, the self-estimate included
     discard: "np.ndarray"  # the f - b discard
@@ -252,34 +280,50 @@ class _Vote(NamedTuple):
     latest: "np.ndarray"  # latest accepted arrival (local), or -inf
     accept: Any  # (rows, dealers) mask, or None: all but the self-link
     estimates: Any  # unpartitioned estimates when observing, else None
+    correction: "np.ndarray"  # the vote's midpoint
+    completion: "np.ndarray"  # local time the round's TCBs complete
 
 
 class _BlockKernel:
-    """The fused acceptance-and-vote step over one receiver block.
+    """The fused acceptance-and-vote step.
 
-    Works in reused ``(rows, dealers)`` buffers and overwrites the
-    local-time block it is given.  Every result equals what the
+    :meth:`finish` turns each receiver's earliest and latest arrival
+    (local) into its vote; both the class path and the block path end
+    there.  :meth:`vote` runs one receiver block: it works in reused
+    ``(rows, dealers)`` buffers, allocated on first use, and overwrites
+    the local-time block it is given.  Every result equals what the
     straightforward mask / ``where`` / full-sort formulation computes,
     bit for bit (see the module docstring for the argument).
     """
 
     __slots__ = (
-        "n", "f", "honest", "window", "shift", "local_buf", "accept_buf",
-        "mask_buf",
+        "n", "f", "honest", "window", "shift", "fin_wait", "rows",
+        "_buffers",
     )
 
     def __init__(
         self, params: ProtocolParameters, honest: Sequence[int], rows: int
     ) -> None:
-        nh = len(honest)
         self.n = params.n
         self.f = params.f
         self.honest = honest
         self.window = params.tcb_window
         self.shift = params.d - params.u + params.S
-        self.local_buf = np.empty((rows, nh))
-        self.accept_buf = np.empty((rows, nh), dtype=bool)
-        self.mask_buf = np.empty((rows, nh), dtype=bool)
+        self.fin_wait = params.tcb_finalize_wait
+        self.rows = rows
+        self._buffers: Any = None
+
+    def buffers(self) -> Any:
+        """The reused (local times, accept mask, scratch mask) block
+        buffers."""
+        if self._buffers is None:
+            shape = (self.rows, len(self.honest))
+            self._buffers = (
+                np.empty(shape),
+                np.empty(shape, dtype=bool),
+                np.empty(shape, dtype=bool),
+            )
+        return self._buffers
 
     def vote(
         self,
@@ -291,23 +335,47 @@ class _BlockKernel:
         """Accept and vote on local arrival times ``h`` of the block
         whose first receiver is honest row ``start`` and whose pulse
         local times are ``pulse_local``."""
-        size = len(h)
-        diagonal = (np.arange(size), np.arange(start, start + size))
-        base = pulse_local[:, None]
-        upper = base + self.window + EPS
+        diagonal = (np.arange(len(h)), np.arange(start, start + len(h)))
         # Row extremes over the dealers' messages, self-links excluded.
         h[diagonal] = -np.inf
         latest = h.max(axis=1)
         h[diagonal] = np.inf
         earliest = h.min(axis=1)
+        return self.finish(start, pulse_local, earliest, latest, h, observing)
+
+    def finish(
+        self,
+        start: int,
+        pulse_local: "np.ndarray",
+        earliest: "np.ndarray",
+        latest: "np.ndarray",
+        h: Any = None,
+        observing: bool = False,
+    ) -> Optional[_Vote]:
+        """The window test, the vote and the completion times of
+        receivers ``start`` onwards, from each one's earliest and
+        latest arrival from the other dealers.
+
+        ``h`` is the block's local arrival times (self-links at
+        ``+inf``), or ``None`` on the class path; then the result is
+        ``None`` whenever the vote needs the whole matrix — some
+        arrival outside its window, or a positive discard.
+        """
+        size = len(pulse_local)
+        diagonal = (np.arange(size), np.arange(start, start + size))
+        base = pulse_local[:, None]
+        upper = base + self.window + EPS
         accept = None
         if observing or not (
             np.all(earliest > pulse_local) and np.all(latest <= upper[:, 0])
         ):
+            if h is None:
+                return None
             # Some message falls outside its window: the TCB test as a
             # mask, and the extremes over the accepted messages only.
-            accept = np.greater(h, base, out=self.accept_buf[:size])
-            accept &= np.less_equal(h, upper, out=self.mask_buf[:size])
+            _local, accept_buf, mask_buf = self.buffers()
+            accept = np.greater(h, base, out=accept_buf[:size])
+            accept &= np.less_equal(h, upper, out=mask_buf[:size])
             accept[diagonal] = False
             counts = 1 + np.count_nonzero(accept, axis=1)
             latest = np.maximum.reduce(
@@ -319,6 +387,8 @@ class _BlockKernel:
         else:
             counts = np.full(size, len(self.honest))
         discard = np.maximum(self.f - (self.n - counts), 0)
+        if h is None and discard.any():
+            return None
         if np.any(counts <= 2 * discard):
             bad = int(np.argmax(counts <= 2 * discard))
             raise SimulationError(
@@ -335,7 +405,7 @@ class _BlockKernel:
             if accept is not None:
                 np.putmask(
                     h,
-                    np.logical_not(accept, out=self.mask_buf[:size]),
+                    np.logical_not(accept, out=self.buffers()[2][:size]),
                     np.inf,
                 )
             h[diagonal] = 0.0
@@ -353,9 +423,67 @@ class _BlockKernel:
             # monotone, so they follow from the extreme local times.
             low = np.minimum(earliest - pulse_local - self.shift, 0.0)
             high = np.maximum(latest - pulse_local - self.shift, 0.0)
-        return _Vote(
-            counts, discard, low, high, latest, accept, estimates
+        done = latest + self.fin_wait
+        completion = np.where(
+            self.n - counts > 0,
+            np.maximum(done, pulse_local + self.window + 2.0 * EPS),
+            done,
         )
+        return _Vote(
+            counts, discard, low, high, latest, accept, estimates,
+            (low + high) / 2.0, completion,
+        )
+
+
+def _class_extremes(
+    table: _VectorClock,
+    row_class: "np.ndarray",
+    arrival: "np.ndarray",
+    rows_per_block: int,
+) -> Any:
+    """Each honest receiver's earliest and latest local arrival from
+    the other dealers, without forming the (receivers × dealers)
+    matrix.
+
+    ``arrival[c, j]`` is dealer ``j``'s real arrival time at receivers
+    of class ``row_class[i] = c``.  A class's two smallest and two
+    largest entries give every receiver's real extremes with its own
+    self-link left out.  Within one clock segment ``H`` is monotone in
+    IEEE arithmetic, so the local extremes are ``H`` of the real ones;
+    a receiver whose real extremes lie on different segments of its
+    clock has its whole row evaluated instead (in blocks of
+    ``rows_per_block``).
+    """
+    nh = arrival.shape[1]
+    own = np.arange(nh)
+    classes = np.arange(len(arrival))
+    spans = np.empty((nh, 2))
+    for col, (pick, reduce, fill) in enumerate(
+        ((np.argmin, np.min, np.inf), (np.argmax, np.max, -np.inf))
+    ):
+        best = pick(arrival, axis=1)
+        top = arrival[classes, best]
+        arrival[classes, best] = fill
+        runner_up = reduce(arrival, axis=1)
+        arrival[classes, best] = top
+        spans[:, col] = np.where(
+            best[row_class] == own, runner_up[row_class], top[row_class]
+        )
+    local = table.local_times(slice(0, nh), spans, np.empty_like(spans))
+    if not table.constant:
+        segment = table.segments(spans)
+        straddling = np.flatnonzero(segment[:, 0] != segment[:, 1])
+        for first in range(0, len(straddling), rows_per_block):
+            part = straddling[first:first + rows_per_block]
+            full = table.local_times(
+                part, arrival[row_class[part]], np.empty((len(part), nh))
+            )
+            diagonal = (np.arange(len(part)), part)
+            full[diagonal] = np.inf
+            local[part, 0] = full.min(axis=1)
+            full[diagonal] = -np.inf
+            local[part, 1] = full.max(axis=1)
+    return local[:, 0], local[:, 1]
 
 
 class VectorizedSimulation:
@@ -454,8 +582,6 @@ class VectorizedSimulation:
             if isinstance(self.delay_policy, RandomDelayPolicy)
             else None
         )
-        window = params.tcb_window
-        fin_wait = params.tcb_finalize_wait
         pulses: Dict[int, List[float]] = {v: [] for v in range(n)}
         events = 0
         end_time = 0.0
@@ -486,44 +612,35 @@ class VectorizedSimulation:
                 end_time = max(end_time, float(pulse_real.max()))
                 break
             send_real = table.real_times(local + params.dealer_send_offset)
-            senders_mask = sender_masks(self.delay_policy, honest, send_real)
-            correction = np.empty(nh)
-            completion_local = np.empty(nh)
-            accepted_total = 0
+            classes = delay_rows(
+                self.delay_policy, self.config, honest, honest, send_real
+            )
+            # The class path settles the round from each receiver's
+            # arrival extremes; observers need every acceptance, and
+            # ``finish`` declines rounds that need the whole matrix.
+            vote = None
+            if classes is not None and not observing:
+                row_class, rows = classes
+                vote = kernel.finish(
+                    0,
+                    local,
+                    *_class_extremes(
+                        table, row_class, rows + send_real, kernel.rows
+                    ),
+                )
             accepts: List[Any] = []
             summaries: List[Any] = []
-            for start in range(0, nh, rows_per_block):
-                stop = min(start + rows_per_block, nh)
-                block = slice(start, stop)
-                receivers = honest[start:stop]
-                arrival = delay_matrix(
-                    self.delay_policy, self.config, honest, receivers,
-                    send_real, rng, senders_mask,
-                )
-                arrival += send_real
-                vote = kernel.vote(
-                    table.local_times(
-                        block, arrival, kernel.local_buf[: stop - start]
-                    ),
-                    start,
-                    local[block],
-                    observing,
-                )
-                correction[block] = (vote.low + vote.high) / 2.0
-                latest = vote.latest + fin_wait
-                window_close = local[block] + window + 2.0 * EPS
-                completion_local[block] = np.where(
-                    n - vote.counts > 0,
-                    np.maximum(latest, window_close),
-                    latest,
-                )
-                accepted_total += int(vote.counts.sum()) - (stop - start)
-                if observing:
-                    self._collect_round(
-                        accepts, summaries, start, receivers, vote.accept,
-                        arrival, vote.estimates, vote.counts, vote.low,
-                        vote.high, correction, pulse_round, local,
+            if vote is None:
+                correction, completion_local, accepted_total = (
+                    self._block_round(
+                        kernel, table, classes, send_real, local, rng,
+                        observing, pulse_round, accepts, summaries,
                     )
+                )
+            else:
+                correction = vote.correction
+                completion_local = vote.completion
+                accepted_total = int(vote.counts.sum()) - nh
             completion_real = table.real_times(completion_local)
             end_time = max(end_time, float(completion_real.max()))
             if observing:
@@ -548,6 +665,61 @@ class VectorizedSimulation:
             events_processed=events,
             end_time=end_time,
         )
+
+    # ------------------------------------------------------------------
+
+    def _block_round(
+        self,
+        kernel: _BlockKernel,
+        table: _VectorClock,
+        classes: Any,
+        send_real: "np.ndarray",
+        local: "np.ndarray",
+        rng: Any,
+        observing: bool,
+        pulse_round: int,
+        accepts: List[Any],
+        summaries: List[Any],
+    ) -> Any:
+        """One round's votes over (receivers × dealers) blocks: the
+        path for rounds the class path cannot settle.
+
+        Returns ``(correction, completion_local, accepted)`` and, when
+        ``observing``, fills ``accepts`` and ``summaries``.
+        """
+        honest = self.honest
+        nh = len(honest)
+        correction = np.empty(nh)
+        completion_local = np.empty(nh)
+        accepted = 0
+        for start in range(0, nh, kernel.rows):
+            stop = min(start + kernel.rows, nh)
+            block = slice(start, stop)
+            receivers = honest[start:stop]
+            arrival = delay_matrix(
+                self.delay_policy, self.config, honest, receivers,
+                send_real, rng,
+                None if classes is None else (classes[0][block], classes[1]),
+            )
+            arrival += send_real
+            vote = kernel.vote(
+                table.local_times(
+                    block, arrival, kernel.buffers()[0][: stop - start]
+                ),
+                start,
+                local[block],
+                observing,
+            )
+            correction[block] = vote.correction
+            completion_local[block] = vote.completion
+            accepted += int(vote.counts.sum()) - (stop - start)
+            if observing:
+                self._collect_round(
+                    accepts, summaries, start, receivers, vote.accept,
+                    arrival, vote.estimates, vote.counts, vote.low,
+                    vote.high, correction, pulse_round, local,
+                )
+        return correction, completion_local, accepted
 
     # ------------------------------------------------------------------
 

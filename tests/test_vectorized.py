@@ -12,9 +12,12 @@ unattainable by construction (see ``repro.sim.vectorized.delays``).
 The rest covers the facade contract (backend resolution, deprecation
 shims, hash stability of ``MeasurementSpec.backend``), the unsupported-
 scenario envelope, the delay-matrix fast paths against the scalar
-policies they mirror, and the CLI/perf ``--backend`` plumbing.
+policies they mirror, the class path against a forced block path and
+the rounds that must still take the block path, and the CLI/perf
+``--backend`` plumbing.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -43,17 +46,28 @@ from repro.core.cps import (
     build_cps_simulation,
 )
 from repro.core.params import derive_parameters
+from repro.perf.bench import load_results
 from repro.perf.cases import run_case
 from repro.scenarios import REGISTRY, create
 from repro.sim.clocks import HardwareClock
-from repro.sim.errors import ClockError, ConfigurationError
-from repro.sim.network import NetworkConfig
+from repro.sim.errors import (
+    ClockError,
+    ConfigurationError,
+    ModelViolation,
+    SimulationError,
+)
+from repro.sim.network import (
+    DelayPolicy,
+    NetworkConfig,
+    PerLinkDelayPolicy,
+    SkewingDelayPolicy,
+)
 from repro.sim.vectorized import (
     UnsupportedScenarioError,
     VectorizedSimulation,
     engine,
 )
-from repro.sim.vectorized.delays import delay_matrix
+from repro.sim.vectorized.delays import delay_matrix, delay_rows
 from repro.sync.crusader import BOT
 
 BASE_CASE = {"n": 6, "theta": 1.001, "d": 1.0, "u": 0.02}
@@ -69,6 +83,16 @@ DETERMINISTIC_SCENARIOS = [
     {"delay": "flicker-partition", "drift": "mixed"},
     {"delay": "constant-fraction", "drift": "random"},
 ]
+
+
+#: Registry delay policies whose delays come as class rows
+#: (``delay_rows``), so unobserved runs take the class path.
+STRUCTURED = [
+    "maximum", "minimum", "constant-fraction", "skewing", "eclipse",
+    "biased-partition", "flicker-partition",
+]
+
+DRIFTS = ["random", "extreme", "mixed", "staggered"]
 
 
 def _case(**keys):
@@ -252,6 +276,20 @@ class TestDelayMatrix:
                         expected, abs=1e-12
                     ), key
 
+    def test_class_rows_cover_the_structured_policies(self):
+        config = NetworkConfig(n=self.N, d=1.0, u=0.02)
+        nodes = list(range(self.N))
+        send_real = np.linspace(0.0, 25.0, self.N)
+        covered = {
+            key
+            for key, policy in self._policies()
+            if delay_rows(policy, config, nodes, nodes, send_real)
+            is not None
+        }
+        assert covered == set(STRUCTURED)
+        per_link = PerLinkDelayPolicy({(0, 1): 0.99})
+        assert delay_rows(per_link, config, nodes, nodes, send_real) is None
+
 
 class TestDeprecationShims:
     def test_build_cps_simulation_warns_and_matches(self):
@@ -363,6 +401,21 @@ class TestPerfBackendThreading:
         assert result.meta["n"] == 1000
         assert result.meta["max_skew"] <= result.meta["bound_S"] + 1e-9
 
+    def test_e9_cases_count_honest_node_rounds(self, capsys, tmp_path):
+        # Modeled events are kept in meta but never graded.
+        assert main(
+            [
+                "perf", "run", "--quick", "--case", "e9-vectorized-1k",
+                "--repeats", "1", "--out", str(tmp_path),
+            ]
+        ) == 0
+        assert "node-rounds/s" in capsys.readouterr().out
+        result = load_results(str(tmp_path))["e9-vectorized-1k"]
+        params = derive_parameters(theta=1.001, u=0.01, d=1.0, n=1000)
+        assert result.meta["unit"] == "node-rounds"
+        assert result.events == (params.n - params.f) * result.meta["pulses"]
+        assert result.meta["modeled_events"] > 100 * result.events
+
 
 class TestE9ScaleCampaign:
     def test_registered_with_vectorized_measurements(self):
@@ -386,8 +439,9 @@ class TestE9ScaleCampaign:
 #: Bit-identity pins: SHA-256 of the honest pulse streams, end_time and
 #: events_processed (plus the observer stream for "checks"), recorded
 #: with the per-row searchsorted / full-sort kernel the fused block
-#: kernel replaced.  Any change to an IEEE operation or its order moves
-#: a hash.
+#: kernel replaced; the "segments/<delay>" pins were recorded on the
+#: block path before class-structured rounds skipped it.  Any change
+#: to an IEEE operation or its order moves a hash.
 PINNED = {
     "random/maximum": "1257c178916b9cd6f3afd28ab0ba0120"
     "a24d214844442976586fe572f030f189",
@@ -417,6 +471,10 @@ PINNED = {
     "d2ab5e137c0c1cfb956d019a16699cc4",
     "segments": "2f94bb8e7bbd8dcb13e883218204c519"
     "cd5cda5081fc8b13599a10d8b1a1a54d",
+    "segments/skewing": "a4d0ceb6d4e37b9b9e13b02c1b57db1a"
+    "e91662dd80c191b4faa4af2c677d2a3c",
+    "segments/eclipse": "2232a585ae18e23c6d280f85748146a2"
+    "894143fc3001689177a6b9a39905153b",
     "until": "0cf7307a76822b18a87e788d94cd13a4"
     "45b05cf77d0ffd7a80c86879fd45c349",
     "checks": "80638768692e7853a33553f6bb3e642d"
@@ -469,6 +527,24 @@ def _pinned_build(**keys):
     )
 
 
+def _segment_simulation(delay):
+    """n = 301 on 0.03-long clock segments, so breakpoints fall among
+    every row's arrival times."""
+    params = _pinned_build(drift="mixed", delay="skewing").params
+    rng = random.Random(9)
+    clocks = [
+        HardwareClock.random_drift(
+            rng, params.theta, offset=rng.uniform(0.0, params.S),
+            horizon=12.0, segment_length=0.03,
+        )
+        for _ in range(params.n)
+    ]
+    return VectorizedSimulation(
+        params, clocks, faulty=range(params.n - params.f, params.n),
+        delay_policy=create("delay", delay, params.n),
+    )
+
+
 class TestBitIdentity:
     @pytest.fixture(params=["one-row", "budget"], autouse=True)
     def blocks(self, request, monkeypatch):
@@ -504,23 +580,28 @@ class TestBitIdentity:
         assert _fingerprint(result) == PINNED["discard"]
 
     def test_breakpoints_inside_arrival_windows(self):
-        # 0.03-long segments put breakpoints among every row's arrival
-        # times, so blocks evaluate entries on several segments.
-        params = _pinned_build(drift="mixed", delay="skewing").params
-        rng = random.Random(9)
-        clocks = [
-            HardwareClock.random_drift(
-                rng, params.theta, offset=rng.uniform(0.0, params.S),
-                horizon=12.0, segment_length=0.03,
-            )
-            for _ in range(params.n)
-        ]
-        simulation = VectorizedSimulation(
-            params, clocks, faulty=range(params.n - params.f, params.n),
-            delay_policy=create("delay", "random", params.n),
-        )
-        result = simulation.run(max_pulses=4)
+        # Random delays take the block path, so blocks evaluate
+        # entries on several segments.
+        result = _segment_simulation("random").run(max_pulses=4)
         assert _fingerprint(result) == PINNED["segments"]
+
+    @pytest.mark.parametrize("delay", ["skewing", "eclipse"])
+    def test_breakpoints_inside_class_extremes(self, monkeypatch, delay):
+        # Class-structured delays take the class path; receivers whose
+        # earliest and latest arrivals lie on different clock segments
+        # have their whole row evaluated (rows given as an index
+        # array instead of a block slice).
+        original = engine._VectorClock.local_times
+        row_kinds = []
+
+        def spy(table, rows, t, out):
+            row_kinds.append(type(rows))
+            return original(table, rows, t, out)
+
+        monkeypatch.setattr(engine._VectorClock, "local_times", spy)
+        result = _segment_simulation(delay).run(max_pulses=4)
+        assert _fingerprint(result) == PINNED[f"segments/{delay}"]
+        assert np.ndarray in row_kinds
 
     def test_until_cuts_mid_round(self):
         # Untraced: pulses are recorded without the time-ordered pass.
@@ -541,6 +622,152 @@ class TestBitIdentity:
         )
         result = built.simulation.run(max_pulses=4)
         assert _fingerprint(result, recorder) == PINNED["checks"]
+
+
+def _force_blocks(monkeypatch):
+    """Send every round down the (receivers × dealers) block path."""
+    monkeypatch.setattr(engine, "delay_rows", lambda *args, **kw: None)
+
+
+def _count_matrices(monkeypatch):
+    """Count ``delay_matrix`` calls, i.e. block-path blocks."""
+    calls = []
+    original = engine.delay_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "delay_matrix", counting)
+    return calls
+
+
+def _outcome(simulation):
+    """Pulses, events and end time, or the error text, of a run."""
+    try:
+        result = simulation.run(max_pulses=4)
+    except SimulationError as error:
+        return type(error).__name__, str(error)
+    return result.pulses, result.events_processed, result.end_time
+
+
+class TestClassPath:
+    """Class rows and per-receiver extremes against the block path."""
+
+    @pytest.mark.parametrize("n", [3, 7, 301])
+    @pytest.mark.parametrize("drift", DRIFTS)
+    @pytest.mark.parametrize("delay", STRUCTURED)
+    def test_matches_forced_block_path(self, monkeypatch, delay, drift, n):
+        def outcome():
+            return _outcome(
+                _pinned_build(n=n, drift=drift, delay=delay).simulation
+            )
+
+        blocks = _count_matrices(monkeypatch)
+        fast = outcome()
+        assert not blocks  # every round took the class path
+        _force_blocks(monkeypatch)
+        assert outcome() == fast
+        assert blocks
+
+    def test_large_unobserved_run_forms_no_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("delay_matrix called")
+
+        monkeypatch.setattr(engine, "delay_matrix", refuse)
+        built = _pinned_build(n=2000, drift="extreme", delay="maximum")
+        result = built.simulation.run(max_pulses=4)
+        assert {len(t) for t in result.honest_pulses().values()} == {4}
+
+    def test_model_violation_text_matches(self, monkeypatch):
+        def message():
+            built = _pinned_build(
+                n=7, drift="mixed", delay="constant-fraction"
+            )
+            built.simulation.delay_policy.fraction = 1.5
+            with pytest.raises(ModelViolation) as error:
+                built.simulation.run(max_pulses=4)
+            return str(error.value)
+
+        fast = message()
+        assert "produced a delay outside" in fast
+        _force_blocks(monkeypatch)
+        assert message() == fast
+
+
+class _Ordered(DelayPolicy):
+    """A custom policy: fast from lower to higher node ids."""
+
+    def delay(self, config, src, dst, send_time, payload, link_is_honest):
+        low, high = config.delay_bounds(link_is_honest)
+        return low if src < dst else high
+
+
+def _shrunk_window():
+    # A smaller d narrows the TCB window while the network keeps its
+    # delays, so some arrivals miss their windows.
+    simulation = _pinned_build(
+        n=7, drift="mixed", delay="skewing"
+    ).simulation
+    simulation.params = dataclasses.replace(simulation.params, d=0.95)
+    return simulation
+
+
+def _custom_policy(policy):
+    params = _pinned_build(n=7, drift="mixed").params
+    return VectorizedSimulation(
+        params, create("drift", "mixed", params, 5),
+        faulty=range(params.n - params.f, params.n), delay_policy=policy,
+    )
+
+
+def _fewer_faulty():
+    params = _pinned_build(n=7, drift="mixed").params
+    return VectorizedSimulation(
+        params, create("drift", "mixed", params, 5), faulty=[6],
+        delay_policy=create("delay", "skewing", params.n),
+    )
+
+
+#: Runs the block path must keep serving, each built fresh per call.
+BLOCK_PATH = {
+    "random": lambda: _pinned_build(
+        n=7, drift="mixed", delay="random"
+    ).simulation,
+    "per-link": lambda: _custom_policy(
+        PerLinkDelayPolicy({(0, 1): 0.99}, SkewingDelayPolicy([2, 3]))
+    ),
+    "custom": lambda: _custom_policy(_Ordered()),
+    "checks": lambda: build_simulation(
+        dict(PIN_CASE, n=7, drift="mixed", delay="skewing"),
+        backend="vectorized", seed=5, checks=_Recorder(),
+    ).simulation,
+    "full-trace": lambda: build_simulation(
+        dict(PIN_CASE, n=7, drift="mixed", delay="skewing"),
+        backend="vectorized", seed=5, trace="full",
+    ).simulation,
+    "discard": _fewer_faulty,
+    "shrunk-window": _shrunk_window,
+}
+
+
+class TestPathSelection:
+    @pytest.mark.parametrize("name", sorted(BLOCK_PATH))
+    def test_block_path_still_runs(self, monkeypatch, name):
+        blocks = _count_matrices(monkeypatch)
+        chosen = _outcome(BLOCK_PATH[name]())
+        assert blocks
+        _force_blocks(monkeypatch)
+        assert _outcome(BLOCK_PATH[name]()) == chosen
+
+    def test_shrunk_window_mixes_paths(self, monkeypatch):
+        # Only the rounds with an arrival outside its window fall back.
+        blocks = _count_matrices(monkeypatch)
+        _outcome(_shrunk_window())
+        mixed = len(blocks)
+        _force_blocks(monkeypatch)
+        _outcome(_shrunk_window())
+        assert 0 < mixed < len(blocks) - mixed
 
 
 def _reference_vote(params, nh, h, start, pulse_local):
