@@ -14,16 +14,15 @@ Usage::
     python benchmarks/generate_experiments_md.py --check   # exit 1 if stale
 
 Measured tables themselves are reproduced on demand (``repro run E4``,
-``repro campaign run STRESS``, ``pytest benchmarks/ --benchmark-only``);
-the committed CSV snapshots live in ``results/``.
+``repro all``, ``repro campaign run STRESS``); the committed CSV
+snapshots live in ``results/``.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
-from typing import Dict, List
+from typing import List
 
 from repro import scenarios
 from repro.campaigns import (
@@ -267,10 +266,12 @@ registry; do not edit it by hand.  Regenerate with::
 
     python benchmarks/generate_experiments_md.py
 
-CI fails if the committed copy is stale (``--check``).  Reproduce the
-measured tables with ``repro run <id>`` / ``repro campaign run <id>``
-or ``pytest benchmarks/ --benchmark-only``; committed CSV snapshots
-live in ``results/``.
+CI fails if the committed copy is stale (``--check``).  Reproduce any
+measured table with ``repro run <id> [--scale full] [--csv F]``, or
+every table with ``repro all [--out DIR]``; campaign-engine experiments
+also run through ``repro campaign run <id>``.  Committed CSV snapshots
+live in ``results/`` (``results/stress.csv`` regenerates with
+``repro campaign run STRESS --csv results/stress.csv``).
 
 **Global fidelity note.** Our parameter constants follow the appendix
 derivation (Lemma 16 fixed point, Corollary 15 floor for `T`) exactly as
@@ -283,20 +284,6 @@ constants, so "within bound" is a *strict* check, not an asymptotic one.
 """
 
 
-def _bench_files() -> Dict[str, str]:
-    """Map experiment ids to their ``benchmarks/bench_*.py`` harness."""
-    mapping: Dict[str, str] = {}
-    pattern = re.compile(r"bench_([ea])(\d+)_")
-    for name in sorted(os.listdir(os.path.dirname(__file__))):
-        match = pattern.match(name)
-        if match:
-            experiment = f"{match.group(1).upper()}{int(match.group(2))}"
-            mapping[experiment] = f"benchmarks/{name}"
-        elif name.startswith("bench_stress_"):
-            mapping["STRESS"] = f"benchmarks/{name}"
-    return mapping
-
-
 def _campaign_scales(spec) -> List[str]:
     """Display order for a spec's tiers: quick, full, then the rest."""
     declared = scales_of(spec)
@@ -304,21 +291,19 @@ def _campaign_scales(spec) -> List[str]:
     return ordered + [s for s in declared if s not in ordered]
 
 
-def catalog_table(bench_files: Dict[str, str]) -> List[str]:
+def catalog_table() -> List[str]:
     lines = [
-        "| id | claim | bench harness | campaign engine |",
-        "|----|-------|---------------|-----------------|",
+        "| id | claim | table | campaign engine |",
+        "|----|-------|-------|-----------------|",
     ]
     for name in ORDER:
         title = COMMENTARY[name][0]
-        bench = bench_files.get(name)
-        bench_cell = f"`{bench}`" if bench else "—"
         if name in available_campaigns():
             campaign_cell = f"`repro campaign run {name}`"
         else:
             campaign_cell = "—"
         lines.append(
-            f"| {name} | {title} | {bench_cell} | {campaign_cell} |"
+            f"| {name} | {title} | `repro run {name}` | {campaign_cell} |"
         )
     return lines
 
@@ -376,22 +361,15 @@ def scenario_registry_section() -> List[str]:
 
 
 def generate() -> str:
-    bench_files = _bench_files()
     sections = [HEADER, "\n## Catalog\n"]
-    sections.extend(catalog_table(bench_files))
+    sections.extend(catalog_table())
     for name in ORDER:
         title, commentary = COMMENTARY[name]
         sections.append(f"\n## {name} — {title}\n")
         sections.append(commentary + "\n")
-        reproduce = []
+        sections.append(f"**Reproduce:** `repro run {name}`.")
         if name in available_campaigns():
-            reproduce = campaign_grid_section(name)
-        elif name in bench_files:
-            reproduce = [
-                f"**Reproduce:** `repro run {name}` or "
-                f"`pytest {bench_files[name]} --benchmark-only`.",
-            ]
-        sections.extend(reproduce)
+            sections.extend(campaign_grid_section(name))
     sections.extend(scenario_registry_section())
     sections.append("")
     return "\n".join(sections)

@@ -47,7 +47,6 @@ from repro.build import (
 from repro.core.cps import (
     CpsNode,
     assemble_cps_simulation,
-    build_cps_simulation,
 )
 from repro.core.lower_bound import run_lower_bound
 from repro.core.params import (
@@ -72,7 +71,6 @@ __all__ = [
     "UnknownBackendError",
     "__version__",
     "assemble_cps_simulation",
-    "build_cps_simulation",
     "build_simulation",
     "derive_parameters",
     "max_faults",

@@ -3,7 +3,7 @@
 The paper is a theory paper without an empirical section, so each
 experiment operationalizes one stated claim (theorem/lemma/corollary) or
 one comparison from the introduction.  Every function returns a
-:class:`~repro.analysis.reporting.Table`; benchmarks, the CLI, and the
+:class:`~repro.analysis.reporting.Table`; the CLI, the tests and the
 generated ``docs/EXPERIMENTS.md`` all render these.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
@@ -1452,7 +1452,8 @@ def e9_scale_table(run: CampaignRun) -> Table:
         "Runs on the round-batched numpy backend "
         "(repro.sim.vectorized; see docs/VECTORIZED.md); 'modeled "
         "events' counts the deliveries the event engine would have "
-        "dispatched, so events/second is comparable across backends. "
+        "dispatched, not work done here, so its rate is not comparable "
+        "across backends. "
         "The differential suite (tests/test_vectorized.py) pins both "
         "backends verdict-identical at small n."
     )

@@ -1,8 +1,8 @@
 """Plain-text tables and CSV output (no external dependencies).
 
-Every experiment returns a :class:`Table`; benchmarks print it, the CLI
-shows it, and the benchmark harness persists CSV snapshots
-(``docs/EXPERIMENTS.md`` catalogs how to regenerate each table).
+Every experiment returns a :class:`Table`; the CLI shows it and
+persists CSV snapshots (``repro run <id> --csv F``, ``repro all``), and
+``docs/EXPERIMENTS.md`` catalogs how to regenerate each table.
 """
 
 from __future__ import annotations

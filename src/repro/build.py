@@ -15,11 +15,10 @@ simulation from a registry-keyed case dict on either execution backend:
     adversary; churn and active Byzantine behaviours raise
     :class:`~repro.sim.vectorized.UnsupportedScenarioError`.
 
-The facade subsumes the historical builder sprawl
-(``build_cps_simulation`` wiring plus the registry-keyed
-``build_registry_simulation``); both old names remain as thin
-deprecation shims, and every content-addressed hash they fed stays
-byte-identical.  The case-dict conventions are unchanged:
+It is the one registry-keyed build path: campaign builders, the
+conformance engine and the fuzzer all call it, and read the fields of
+the :class:`BuiltSimulation` it returns.  A case is a plain dict of
+registry keys:
 
 >>> built = build_simulation(
 ...     {"n": 6, "adversary": "silent", "delay": "maximum",
@@ -52,20 +51,23 @@ BACKENDS: Tuple[str, ...] = ("event", "vectorized")
 #: The backend implied everywhere a backend is not named.
 DEFAULT_BACKEND = "event"
 
-#: The CPS mechanisms the ablation engine can switch off, sorted.
-#: Each name maps to a validated off-behaviour (see
-#: :mod:`repro.ablation` for the catalog with descriptions):
-#: ``apa`` → single-shot vote, ``echo-amplification`` → direct relay,
-#: ``overlay`` → base-model parameters on the overlay network,
-#: ``resync`` → cold join, ``signatures`` → trust-all verify,
-#: ``tcb-filter`` → accept-all window.
-ABLATABLE_COMPONENTS: Tuple[str, ...] = (
-    "apa",
-    "echo-amplification",
-    "overlay",
-    "resync",
-    "signatures",
-    "tcb-filter",
+#: The :class:`~repro.core.cps.CpsNode` keyword argument that switches
+#: each node-level mechanism off: ``apa`` → single-shot vote,
+#: ``echo-amplification`` → direct relay, ``signatures`` → trust-all
+#: verify, ``tcb-filter`` → accept-all window.
+NODE_ABLATIONS: Dict[str, Tuple[str, Any]] = {
+    "apa": ("discard_rule", "none"),
+    "echo-amplification": ("relay_echo", False),
+    "signatures": ("verify_signatures", False),
+    "tcb-filter": ("window_filter", False),
+}
+
+#: The CPS mechanisms the ablation engine can switch off, sorted (see
+#: :mod:`repro.ablation` for the catalog with descriptions).  Beyond
+#: :data:`NODE_ABLATIONS`, ``overlay`` runs base-model parameters on
+#: the overlay network and ``resync`` makes churned nodes join cold.
+ABLATABLE_COMPONENTS: Tuple[str, ...] = tuple(
+    sorted([*NODE_ABLATIONS, "overlay", "resync"])
 )
 
 
@@ -150,11 +152,6 @@ class BuiltSimulation:
     f: int
     effective: Dict[str, float]
     backend: str
-
-    def legacy_tuple(self) -> Tuple[Any, ProtocolParameters, int, Dict]:
-        """The ``(simulation, params, f, effective)`` shape of the
-        deprecated ``build_registry_simulation``."""
-        return (self.simulation, self.params, self.f, self.effective)
 
 
 def _case_parameters(
@@ -311,15 +308,9 @@ def build_simulation(
         "adversary", adversary_key, params,
         **case.get("adversary_params", {})
     )
-    node_kwargs: Dict[str, Any] = {}
-    if "signatures" in ablate:
-        node_kwargs["verify_signatures"] = False
-    if "echo-amplification" in ablate:
-        node_kwargs["relay_echo"] = False
-    if "tcb-filter" in ablate:
-        node_kwargs["window_filter"] = False
-    if "apa" in ablate:
-        node_kwargs["discard_rule"] = "none"
+    node_kwargs = dict(
+        NODE_ABLATIONS[name] for name in ablate if name in NODE_ABLATIONS
+    )
     simulation = assemble_cps_simulation(
         params,
         clocks=clocks,

@@ -2,8 +2,8 @@
 
 The executor yields flat :class:`~repro.campaigns.executor.TrialRecord`
 lists; experiments group them, pull case/metric values, and emit the
-same :class:`~repro.analysis.reporting.Table` objects the CLI,
-benchmarks, and CSV snapshots already render.
+same :class:`~repro.analysis.reporting.Table` objects the CLI and CSV
+snapshots already render.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import warnings
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro import scenarios
@@ -411,32 +410,6 @@ def algorithm_comparison_trial(
 # ----------------------------------------------------------------------
 
 
-def build_registry_simulation(
-    case: Dict[str, Any],
-    seed: int,
-    trace: Any = "pulses",
-    checks: Any = None,
-) -> Tuple[Any, Any, int, Dict[str, float]]:
-    """Deprecated alias of :func:`repro.build.build_simulation`.
-
-    The registry-keyed assembly moved to the unified facade (which also
-    selects the execution backend); this shim forwards verbatim on the
-    event backend and keeps the historical
-    ``(simulation, params, f, effective)`` return shape.
-    """
-    from repro.build import build_simulation
-
-    warnings.warn(
-        "build_registry_simulation is deprecated; use "
-        "repro.build.build_simulation(case, backend=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_simulation(
-        case, seed=seed, trace=trace, checks=checks
-    ).legacy_tuple()
-
-
 @register_builder("cps-churn")
 def cps_churn_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
@@ -452,12 +425,13 @@ def cps_churn_trial(
     """
     from repro.build import build_simulation
 
-    simulation, params, f, effective = build_simulation(
+    built = build_simulation(
         case,
         backend=measurement.backend,
         seed=seed,
         trace=measurement.trace,
-    ).legacy_tuple()
+    )
+    simulation, params = built.simulation, built.params
     controller = simulation.dynamics
     if controller is None:
         raise TrialFailure("cps-churn cases must name a 'churn' profile")
@@ -491,7 +465,7 @@ def cps_churn_trial(
     # must not report vacuous success.
     scheduled = len(schedule.activations())
     return {
-        "f": f,
+        "f": built.f,
         "corruptions": schedule.corruptions,
         "disruptions": len(controller.applied),
         "activations": scheduled,
@@ -504,7 +478,7 @@ def cps_churn_trial(
         "bound_S": params.S,
         "cohort_within": cohort_skew <= params.S + 1e-9,
         "events": result.events_processed,
-        **effective,
+        **built.effective,
     }
 
 
@@ -565,23 +539,24 @@ def cps_stress_trial(
     """
     from repro.build import build_simulation
 
-    simulation, params, f, effective = build_simulation(
+    built = build_simulation(
         case,
         backend=measurement.backend,
         seed=seed,
         trace=measurement.trace,
-    ).legacy_tuple()
+    )
+    simulation, params = built.simulation, built.params
     outcome = measured_pulse_trial(simulation, measurement)
     measured, steady = _skew_metrics(outcome)
     return {
-        "f": f,
+        "f": built.f,
         "max_skew": measured,
         "steady_skew": steady,
         "bound_S": params.S,
         "within": steady <= params.S + 1e-9,
         "live": outcome.live,
         "events": _events_of(outcome),
-        **effective,
+        **built.effective,
     }
 
 
@@ -614,12 +589,13 @@ def cps_ablation_trial(
     from repro.sim.errors import ConfigurationError
 
     pulses = int(case.get("pulses", measurement.pulses))
-    simulation, params, f, effective = build_simulation(
+    built = build_simulation(
         case,
         backend=measurement.backend,
         seed=seed,
         trace=measurement.trace,
-    ).legacy_tuple()
+    )
+    simulation, params = built.simulation, built.params
     if case.get("churn") is not None:
         checks = churn_check_set(
             simulation.dynamics.schedule, params
@@ -641,7 +617,7 @@ def cps_ablation_trial(
     except ConfigurationError:
         measured = float("inf")
     return {
-        "f": f,
+        "f": built.f,
         "pulses": pulses,
         "live": all(
             len(result.pulses[v]) >= pulses for v in simulation.honest
@@ -653,5 +629,5 @@ def cps_ablation_trial(
             v.monitor: len(v.violations) for v in verdicts
         },
         "events": result.events_processed,
-        **effective,
+        **built.effective,
     }

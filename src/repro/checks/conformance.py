@@ -254,9 +254,8 @@ def run_cps_conformance(
     levels and across backends (the vectorized engine must produce a
     verdict-identical monitor matrix).
     """
-    simulation, params, _f, _effective = build_simulation(
-        case, backend=backend, seed=seed, trace=trace
-    ).legacy_tuple()
+    built = build_simulation(case, backend=backend, seed=seed, trace=trace)
+    simulation, params = built.simulation, built.params
     checks = cps_check_set(params, simulation.honest, pulses)
     simulation.attach_checks(checks)
     result = simulation.run(max_pulses=pulses)
@@ -291,9 +290,8 @@ def run_churn_conformance(
     Returns ``(verdicts, simulation_result)`` like
     :func:`run_cps_conformance`.
     """
-    simulation, params, _f, _effective = build_simulation(
-        case, seed=seed, trace=trace
-    ).legacy_tuple()
+    built = build_simulation(case, seed=seed, trace=trace)
+    simulation, params = built.simulation, built.params
     checks = churn_check_set(simulation.dynamics.schedule, params)
     simulation.attach_checks(checks)
     result = simulation.run(max_pulses=pulses)

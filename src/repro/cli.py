@@ -131,7 +131,7 @@ import difflib
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro import scenarios
 from repro.analysis import theory
@@ -142,6 +142,8 @@ from repro.build import (
     resolve_backend,
 )
 from repro.campaigns import (
+    CampaignRun,
+    CampaignSpec,
     CorruptStoreError,
     ExecutionPolicy,
     QueueError,
@@ -283,6 +285,76 @@ def _command_campaign_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _execute_with_flags(
+    args: argparse.Namespace,
+    spec: CampaignSpec,
+    scale: str,
+    policy: ExecutionPolicy,
+    store: Optional[ResultStore],
+    instrumentation: Any = None,
+) -> CampaignRun:
+    """Execute ``spec`` as the shared execution flags ask.
+
+    ``--progress`` attaches a live reporter, and ``--adaptive`` (which
+    needs ``--ci-width``, and vice versa) replaces the fixed grid with
+    the per-cell stopping rule.  Invalid values exit cleanly.
+    """
+    if args.adaptive and args.ci_width is None:
+        raise SystemExit("--adaptive requires --ci-width")
+    if args.ci_width is not None and not args.adaptive:
+        raise SystemExit("--ci-width only makes sense with --adaptive")
+    reporter = None
+    if args.progress:
+        from repro.telemetry.progress import ProgressReporter
+
+        reporter = ProgressReporter(label=f"{spec.name}/{scale}")
+    progress = reporter.update if reporter is not None else None
+    try:
+        if args.adaptive:
+            from repro.campaigns.adaptive import (
+                AdaptivePolicy,
+                execute_adaptive_campaign,
+            )
+
+            if instrumentation is not None:
+                print(
+                    "note: per-trial instrumentation is not applied "
+                    "under --adaptive; the sidecar records the "
+                    "stopping-rule summary instead"
+                )
+            adaptive = AdaptivePolicy(
+                ci_width=args.ci_width,
+                metric=args.ci_metric,
+                confidence=args.ci_confidence,
+                min_trials=args.min_trials,
+                max_trials=args.max_trials,
+            )
+            run = execute_adaptive_campaign(
+                spec,
+                scale=scale,
+                adaptive=adaptive,
+                policy=policy,
+                store=store,
+                reuse=not args.fresh,
+                progress=progress,
+            )
+        else:
+            run = execute_campaign(
+                spec,
+                scale=scale,
+                policy=policy,
+                store=store,
+                reuse=not args.fresh,
+                instrumentation=instrumentation,
+                progress=progress,
+            )
+    except (ValueError, QueueError) as exc:
+        raise SystemExit(str(exc)) from None
+    if reporter is not None:
+        reporter.finish()
+    return run
+
+
 def _command_campaign_run(args: argparse.Namespace) -> int:
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store")
@@ -302,10 +374,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             "rule needs round barriers a detached worker fleet "
             "cannot provide"
         )
-    if args.adaptive and args.ci_width is None:
-        raise SystemExit("--adaptive requires --ci-width")
-    if args.ci_width is not None and not args.adaptive:
-        raise SystemExit("--ci-width only makes sense with --adaptive")
     definition = _campaign_or_exit(args.campaign)
     spec = definition.spec()
     if args.backend is not None:
@@ -346,57 +414,9 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             profile=args.profile,
             profile_top=args.profile_top,
         )
-    reporter = None
-    if args.progress:
-        from repro.telemetry.progress import ProgressReporter
-
-        reporter = ProgressReporter(
-            label=f"{spec.name}/{args.scale}"
-        )
-    progress = reporter.update if reporter is not None else None
-    try:
-        if args.adaptive:
-            from repro.campaigns.adaptive import (
-                AdaptivePolicy,
-                execute_adaptive_campaign,
-            )
-
-            if instrumentation is not None:
-                print(
-                    "note: per-trial instrumentation is not applied "
-                    "under --adaptive; the sidecar records the "
-                    "stopping-rule summary instead"
-                )
-            adaptive = AdaptivePolicy(
-                ci_width=args.ci_width,
-                metric=args.ci_metric,
-                confidence=args.ci_confidence,
-                min_trials=args.min_trials,
-                max_trials=args.max_trials,
-            )
-            run = execute_adaptive_campaign(
-                spec,
-                scale=args.scale,
-                adaptive=adaptive,
-                policy=policy,
-                store=store,
-                reuse=not args.fresh,
-                progress=progress,
-            )
-        else:
-            run = execute_campaign(
-                spec,
-                scale=args.scale,
-                policy=policy,
-                store=store,
-                reuse=not args.fresh,
-                instrumentation=instrumentation,
-                progress=progress,
-            )
-    except (ValueError, QueueError) as exc:
-        raise SystemExit(str(exc)) from None
-    if reporter is not None:
-        reporter.finish()
+    run = _execute_with_flags(
+        args, spec, args.scale, policy, store, instrumentation
+    )
     table = definition.tabulate(run)
     print(table.render())
     print()
@@ -414,11 +434,12 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
         from repro.perf import campaign_throughput
 
         throughput = campaign_throughput(run)
+        unit = throughput["unit"]
         print(
-            f"throughput: {throughput['events']} events in "
+            f"throughput: {throughput['events']} {unit} in "
             f"{throughput['duration']:.2f}s across "
             f"{throughput['measured']} executed trials "
-            f"({throughput['events_per_sec']:,.0f} events/sec, "
+            f"({throughput['events_per_sec']:,.0f} {unit}/sec, "
             f"peak RSS {throughput['peak_rss_kib']} KiB)"
         )
         if store is not None:
@@ -706,10 +727,6 @@ def _command_ablate_run(args: argparse.Namespace) -> int:
     )
     from repro.campaigns.store import dump_json_summary
 
-    if args.adaptive and args.ci_width is None:
-        raise SystemExit("--adaptive requires --ci-width")
-    if args.ci_width is not None and not args.adaptive:
-        raise SystemExit("--ci-width only makes sense with --adaptive")
     spec = _ablation_spec(args)
     campaign = ablation_campaign_spec(spec)
     store = ResultStore(args.store) if args.store else None
@@ -721,47 +738,7 @@ def _command_ablate_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    reporter = None
-    if args.progress:
-        from repro.telemetry.progress import ProgressReporter
-
-        reporter = ProgressReporter(
-            label=f"{campaign.name}/{args.tier}"
-        )
-    progress = reporter.update if reporter is not None else None
-    if args.adaptive:
-        from repro.campaigns.adaptive import (
-            AdaptivePolicy,
-            execute_adaptive_campaign,
-        )
-
-        adaptive = AdaptivePolicy(
-            ci_width=args.ci_width,
-            metric=args.ci_metric,
-            confidence=args.ci_confidence,
-            min_trials=args.min_trials,
-            max_trials=args.max_trials,
-        )
-        run = execute_adaptive_campaign(
-            campaign,
-            scale=args.tier,
-            adaptive=adaptive,
-            policy=policy,
-            store=store,
-            reuse=not args.fresh,
-            progress=progress,
-        )
-    else:
-        run = execute_campaign(
-            campaign,
-            scale=args.tier,
-            policy=policy,
-            store=store,
-            reuse=not args.fresh,
-            progress=progress,
-        )
-    if reporter is not None:
-        reporter.finish()
+    run = _execute_with_flags(args, campaign, args.tier, policy, store)
     payload = ablation_report(spec, run)
     print(render_ablation_table(payload).render())
     print()
@@ -1335,6 +1312,70 @@ def _command_telemetry_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _execution_parent() -> argparse.ArgumentParser:
+    """The execution flags of every command that runs a campaign.
+
+    A fresh parser per call: argparse shares parent actions with each
+    child, so a child's ``set_defaults`` would otherwise leak into the
+    other commands.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--workers", type=int, default=1,
+        help="process-pool size (1 = in-process serial)",
+    )
+    parent.add_argument(
+        "--chunk-size", type=int, default=4,
+        help="trials per pool task",
+    )
+    parent.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-trial timeout in seconds (pool mode only)",
+    )
+    parent.add_argument(
+        "--store", help="result-store directory (enables cache replay)"
+    )
+    parent.add_argument(
+        "--fresh", action="store_true",
+        help="ignore cached records and re-execute every trial",
+    )
+    parent.add_argument(
+        "--progress", action="store_true",
+        help="print live heartbeats (trials done, rolling events/sec, "
+        "ETA) to stderr",
+    )
+    parent.add_argument(
+        "--adaptive", action="store_true",
+        help="per-cell adaptive sampling: replicate each grid cell "
+        "until the CI width target (--ci-width) is hit, bounded by "
+        "--max-trials",
+    )
+    parent.add_argument(
+        "--ci-width", type=float, default=None,
+        help="target confidence-interval width on the headline metric "
+        "(enables the adaptive stopping rule)",
+    )
+    parent.add_argument(
+        "--ci-metric", default="max_skew",
+        help="metric the stopping rule targets (default %(default)s)",
+    )
+    parent.add_argument(
+        "--ci-confidence", type=float, default=0.95,
+        help="confidence level of the interval (default %(default)s)",
+    )
+    parent.add_argument(
+        "--min-trials", type=int, default=3,
+        help="replicates per cell before the first width check "
+        "(default %(default)s)",
+    )
+    parent.add_argument(
+        "--max-trials", type=int, default=8,
+        help="replicate cap per cell, converged or not "
+        "(default %(default)s)",
+    )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1411,40 +1452,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_run_parser = campaign_sub.add_parser(
         "run", help="execute a campaign through the sweep engine",
-        parents=[backend_parent],
+        parents=[backend_parent, _execution_parent()],
     )
     campaign_run_parser.add_argument("campaign", help="campaign id")
     campaign_run_parser.add_argument("--scale", default="quick")
     campaign_run_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size (1 = in-process serial)",
-    )
-    campaign_run_parser.add_argument(
-        "--chunk-size", type=int, default=4,
-        help="trials per pool task",
-    )
-    campaign_run_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial timeout in seconds (pool mode only)",
-    )
-    campaign_run_parser.add_argument(
-        "--store", help="result-store directory (enables cache replay)"
-    )
-    campaign_run_parser.add_argument(
         "--resume", action="store_true",
         help="complete a partially-run campaign (requires --store)",
-    )
-    campaign_run_parser.add_argument(
-        "--fresh", action="store_true",
-        help="ignore cached records and re-execute every trial",
     )
     campaign_run_parser.add_argument(
         "--csv", help="also write the table as CSV"
     )
     campaign_run_parser.add_argument(
         "--perf", action="store_true",
-        help="record per-case throughput (events/sec) and, with "
-        "--store, persist it as <spec_key>.perf.json",
+        help="record per-case throughput (events/sec; modeled "
+        "events/sec on the vectorized backend) and, with --store, "
+        "persist it as <spec_key>.perf.json",
     )
     campaign_run_parser.add_argument(
         "--check", action="store_true",
@@ -1466,11 +1489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hotspot rows kept per trial and printed (default 15)",
     )
     campaign_run_parser.add_argument(
-        "--progress", action="store_true",
-        help="print live heartbeats (trials done, rolling events/sec, "
-        "ETA) to stderr",
-    )
-    campaign_run_parser.add_argument(
         "--queue",
         help="run through a work-queue directory instead of a local "
         "pool: enqueue pending chunks there (unless already "
@@ -1486,34 +1504,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl", type=float, default=60.0,
         help="seconds without a heartbeat before a queue chunk lease "
         "is presumed dead and reclaimed (default 60)",
-    )
-    campaign_run_parser.add_argument(
-        "--adaptive", action="store_true",
-        help="per-cell adaptive sampling: replicate each grid cell "
-        "until the CI width target (--ci-width) is hit, bounded by "
-        "--max-trials",
-    )
-    campaign_run_parser.add_argument(
-        "--ci-width", type=float, default=None,
-        help="target confidence-interval width on the headline metric "
-        "(enables the adaptive stopping rule)",
-    )
-    campaign_run_parser.add_argument(
-        "--ci-metric", default="max_skew",
-        help="metric the stopping rule targets (default max_skew)",
-    )
-    campaign_run_parser.add_argument(
-        "--ci-confidence", type=float, default=0.95,
-        help="confidence level of the interval (default 0.95)",
-    )
-    campaign_run_parser.add_argument(
-        "--min-trials", type=int, default=3,
-        help="replicates per cell before the first width check "
-        "(default 3)",
-    )
-    campaign_run_parser.add_argument(
-        "--max-trials", type=int, default=8,
-        help="replicate cap per cell, converged or not (default 8)",
     )
     campaign_run_parser.set_defaults(handler=_command_campaign_run)
 
@@ -1684,56 +1674,9 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_run_parser = ablate_sub.add_parser(
         "run",
         help="execute the matrix and write the importance artifact",
-        parents=[ablate_shared],
+        parents=[ablate_shared, _execution_parent()],
     )
-    ablate_run_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size (1 = in-process serial)",
-    )
-    ablate_run_parser.add_argument(
-        "--chunk-size", type=int, default=4,
-        help="trials per pool task",
-    )
-    ablate_run_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial budget in seconds (pool mode)",
-    )
-    ablate_run_parser.add_argument(
-        "--store", help="result-store directory (cache/resume)"
-    )
-    ablate_run_parser.add_argument(
-        "--fresh", action="store_true",
-        help="ignore cached records; re-execute every trial",
-    )
-    ablate_run_parser.add_argument(
-        "--adaptive", action="store_true",
-        help="replicate each cell until the CI on --ci-metric is "
-        "narrower than --ci-width",
-    )
-    ablate_run_parser.add_argument(
-        "--ci-width", type=float, default=None,
-        help="target confidence-interval width (requires --adaptive)",
-    )
-    ablate_run_parser.add_argument(
-        "--ci-metric", default="max_skew",
-        help="metric the stopping rule watches (default max_skew)",
-    )
-    ablate_run_parser.add_argument(
-        "--ci-confidence", type=float, default=0.95,
-        help="confidence level (default 0.95)",
-    )
-    ablate_run_parser.add_argument(
-        "--min-trials", type=int, default=3,
-        help="replicates before the stopping rule may fire",
-    )
-    ablate_run_parser.add_argument(
-        "--max-trials", type=int, default=12,
-        help="replication cap per cell",
-    )
-    ablate_run_parser.add_argument(
-        "--progress", action="store_true",
-        help="live per-trial progress line on stderr",
-    )
+    ablate_run_parser.set_defaults(max_trials=12)
     ablate_run_parser.add_argument(
         "--out", default=DEFAULT_ABLATION,
         help=f"importance artifact path (default {DEFAULT_ABLATION})",

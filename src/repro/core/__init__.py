@@ -20,7 +20,6 @@ from repro.core.cps import (
     CpsNode,
     CpsRoundSummary,
     assemble_cps_simulation,
-    build_cps_simulation,
     default_clocks,
 )
 from repro.core.logical_clock import (
@@ -82,7 +81,6 @@ __all__ = [
     "TcbState",
     "THETA_MAX",
     "assemble_cps_simulation",
-    "build_cps_simulation",
     "build_logical_clocks",
     "check_connectivity",
     "circulant",

@@ -2,7 +2,9 @@
 
 Pulse-trial builders record the simulator events each trial processed
 (the ``events`` metric); combined with the executor's per-trial wall
-time this yields events/sec per case without re-running anything.
+time this yields events/sec per case without re-running anything.  The
+vectorized backend dispatches no per-message events, so there the
+metric counts *modeled* events and the summary's ``unit`` says so.
 :func:`campaign_throughput` aggregates a
 :class:`~repro.campaigns.executor.CampaignRun` into a JSON-ready summary
 and ``repro campaign run --perf`` persists it next to the trial records
@@ -15,6 +17,14 @@ from typing import Any, Dict, Optional
 
 from repro.campaigns.executor import CampaignRun
 from repro.perf.probe import peak_rss_kib
+
+#: What a trial's ``events`` metric counts on each backend: the event
+#: engine dispatches its events, the vectorized engine only models the
+#: deliveries the event engine would have dispatched.
+EVENT_UNITS: Dict[str, str] = {
+    "event": "events",
+    "vectorized": "modeled-events",
+}
 
 
 def trial_throughput(record: Any) -> Optional[Dict[str, Any]]:
@@ -52,6 +62,7 @@ def campaign_throughput(run: CampaignRun) -> Dict[str, Any]:
         "measured": len(cases),
         "cached": run.cached,
         "failed": run.failed,
+        "unit": EVENT_UNITS[run.spec.measurement_for(run.scale).backend],
         "events": total_events,
         "duration": total_duration,
         "events_per_sec": (

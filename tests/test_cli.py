@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestList:
@@ -492,3 +492,72 @@ class TestScalingCli:
         assert "saved 12 vs fixed 4x replication" in out
         assert "6 converged, 0 at cap" in out
         assert "adaptive target: max_skew CI width <= 1000" in out
+
+
+#: Every parsed key and default of the two commands that execute
+#: campaigns.  They share one set of execution flags; ``ablate run``
+#: keeps its higher replication cap and has no queue flags.
+EXECUTION_DEFAULTS = {
+    "adaptive": False,
+    "chunk_size": 4,
+    "ci_confidence": 0.95,
+    "ci_metric": "max_skew",
+    "ci_width": None,
+    "fresh": False,
+    "max_trials": 8,
+    "min_trials": 3,
+    "progress": False,
+    "store": None,
+    "timeout": None,
+    "workers": 1,
+}
+
+
+class TestExecutionFlags:
+    def _parsed(self, argv):
+        parsed = vars(build_parser().parse_args(argv))
+        return parsed.pop("handler").__name__, parsed
+
+    def test_campaign_run_keys_and_defaults(self):
+        handler, parsed = self._parsed(["campaign", "run", "E4"])
+        assert handler == "_command_campaign_run"
+        assert parsed == {
+            **EXECUTION_DEFAULTS,
+            "backend": None,
+            "campaign": "E4",
+            "campaign_command": "run",
+            "check": False,
+            "command": "campaign",
+            "csv": None,
+            "lease_ttl": 60.0,
+            "perf": False,
+            "profile": False,
+            "profile_top": 15,
+            "queue": None,
+            "resume": False,
+            "scale": "quick",
+            "telemetry": False,
+            "worker_id": None,
+        }
+
+    def test_ablate_run_keys_and_defaults(self):
+        handler, parsed = self._parsed(["ablate", "run"])
+        assert handler == "_command_ablate_run"
+        assert parsed == {
+            **EXECUTION_DEFAULTS,
+            "ablate_command": "run",
+            "check": False,
+            "command": "ablate",
+            "component": None,
+            "max_trials": 12,
+            "out": "results/ablation.json",
+            "pairwise": False,
+            "seed": 53,
+            "tier": "quick",
+        }
+
+    def test_ablate_run_checks_adaptive_pairing(self):
+        with pytest.raises(SystemExit, match="requires --ci-width"):
+            main(["ablate", "run", "--adaptive"])
+        with pytest.raises(SystemExit, match="--adaptive"):
+            main(["ablate", "run", "--ci-width", "0.1"])

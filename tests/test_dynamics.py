@@ -490,8 +490,8 @@ class TestZeroCostWhenUnused:
             "delay": "maximum",
             "drift": "extreme",
         }
-        simulation, _params, _f, _eff = build_simulation(case, seed=3).legacy_tuple()
-        assert simulation.dynamics is None
+        built = build_simulation(case, seed=3)
+        assert built.simulation.dynamics is None
 
     def test_empty_schedule_is_inert(self):
         params = _params()

@@ -91,9 +91,25 @@ class TestClaims:
         chain = by_algo["Chain relay [2]-style"]
         assert chain[-1][4] > chain[0][4]
 
+    def test_e6_covers_every_algorithm_and_size(self, tables):
+        assert len(tables["E6"].rows) >= 8
+
+    def test_stress_live_rows_within_bound(self, tables):
+        table = tables["STRESS"]
+        # A failed trial tabulates without metrics, so its f is NaN.
+        assert all(f == f for f in table.column("f"))
+        live = table.column("live")
+        assert any(live)
+        assert all(
+            within
+            for within, alive in zip(table.column("within"), live)
+            if alive
+        )
+
     def test_e7_lower_bound_met_exactly(self, tables):
         table = tables["E7"]
         assert all(table.column(">= bound"))
+        assert all(table.column("well-defined"))
         for identity, expected in zip(
             table.column("identity sum"), table.column("2u~")
         ):

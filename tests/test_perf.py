@@ -333,6 +333,7 @@ class TestCampaignThroughput:
         assert run.failed == 0
         summary = campaign_throughput(run)
         assert summary["measured"] == 1
+        assert summary["unit"] == "events"
         assert summary["events"] > 0
         assert summary["events_per_sec"] > 0
         assert not math.isnan(summary["duration"])

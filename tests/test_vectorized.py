@@ -21,7 +21,6 @@ import dataclasses
 import hashlib
 import json
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -40,11 +39,7 @@ from repro.checks.conformance import (
     run_cps_conformance,
 )
 from repro.cli import main
-from repro.core.cps import (
-    CpsRoundSummary,
-    assemble_cps_simulation,
-    build_cps_simulation,
-)
+from repro.core.cps import CpsRoundSummary
 from repro.core.params import derive_parameters
 from repro.perf.bench import load_results
 from repro.perf.cases import run_case
@@ -188,10 +183,6 @@ class TestFacade:
         assert isinstance(built, BuiltSimulation)
         assert built.backend == "vectorized"
         assert isinstance(built.simulation, VectorizedSimulation)
-        simulation, params, f, effective = built.legacy_tuple()
-        assert simulation is built.simulation
-        assert params is built.params
-        assert f == built.f
 
     def test_event_default(self):
         built = build_simulation(_case())
@@ -289,32 +280,6 @@ class TestDelayMatrix:
         assert covered == set(STRUCTURED)
         per_link = PerLinkDelayPolicy({(0, 1): 0.99})
         assert delay_rows(per_link, config, nodes, nodes, send_real) is None
-
-
-class TestDeprecationShims:
-    def test_build_cps_simulation_warns_and_matches(self):
-        params = derive_parameters(theta=1.001, u=0.02, d=1.0, n=4)
-        with pytest.warns(DeprecationWarning, match="assemble"):
-            deprecated = build_cps_simulation(params, seed=3)
-        reference = assemble_cps_simulation(params, seed=3)
-        old = deprecated.run(max_pulses=4)
-        new = reference.run(max_pulses=4)
-        assert old.pulses == new.pulses
-
-    def test_build_registry_simulation_warns_and_matches(self):
-        from repro.campaigns.builders import build_registry_simulation
-
-        case = _case(delay="skewing", drift="mixed")
-        with pytest.warns(DeprecationWarning, match="build_simulation"):
-            sim, params, f, effective = build_registry_simulation(
-                case, seed=9
-            )
-        built = build_simulation(case, seed=9)
-        assert f == built.f
-        assert params.S == built.params.S
-        old = sim.run(max_pulses=4)
-        new = built.simulation.run(max_pulses=4)
-        assert old.pulses == new.pulses
 
 
 class TestHashStability:
@@ -434,6 +399,14 @@ class TestE9ScaleCampaign:
         from repro.analysis.experiments import EXPERIMENTS
 
         assert "E9-SCALE" in EXPERIMENTS
+
+    def test_perf_reports_modeled_events(self, capsys):
+        # The vectorized engine models deliveries it never dispatches;
+        # --perf must not print them as dispatched events/sec.
+        assert main(["campaign", "run", "E9-SCALE", "--perf"]) == 0
+        out = capsys.readouterr().out
+        assert "modeled-events/sec" in out
+        assert " events/sec" not in out
 
 
 #: Bit-identity pins: SHA-256 of the honest pulse streams, end_time and
